@@ -9,16 +9,22 @@ splits apply on the second tree.  A per-root fusion path, bounded by a
 small cap, records the chain of fusions so merged labels and the exposed
 child list can be maintained incrementally.
 
-States are memoized top-down.  A state is either a single tree (root
-index plus fusion path, which determines the surviving node set) or a
-forest (a contiguous postorder range minus at most cap interior holes,
-the residue of a matched or deleted fused root).  Hole sets never
-intersect a remaining complete subtree, which keeps every state compact.
+A state is either a single tree (root index plus fusion path, which
+determines the surviving node set) or a forest (a contiguous postorder
+range minus at most cap interior holes, the residue of a matched or
+deleted fused root).  Hole sets never intersect a remaining complete
+subtree, which keeps every state compact.  Every move changes one side's
+state, or both, to a successor on that side alone, so each tree's state
+closure is enumerated up front (``_Side``), in an order where successors
+come first, and the DP fills the full product of the two closures
+bottom-up as one flat table (``_fill``).  A parallel table of winning
+line indices drives script extraction.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
@@ -41,7 +47,7 @@ _EMPTY = ("f", 1, 0, ())
 
 
 class PathBudgetExceededError(RuntimeError):
-    pass
+    """A root holds more fusion paths than ``path_count_bound`` allows."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,26 @@ class MergedNodeState:
 
 
 class _Side:
-    """Per-tree bookkeeping: removal prices, path states, normalization."""
+    """One tree's side of the DP: its state closure and transitions.
 
-    def __init__(self, tree: IndexedTree, model: CostModel, left: bool):
+    The closure holds every state reachable from the root by the side's own
+    moves.  States are numbered in DFS postorder, so every successor of a
+    state has a smaller id; id 0 is the empty forest.  Per state ``s``:
+
+    - ``left_part[s]``, ``right_part[s]``: the part left of the rightmost
+      complete tree, and that tree (``0`` and ``s`` itself for a tree
+      state);
+    - ``rest[s]``, ``rcost[s]``: the state left after removing the
+      rightmost root, and the price of that removal (for a tree state, the
+      children forest and the price of the merged root);
+    - ``moves[s]``: fusions (left side) or splits (right side) of a tree
+      state whose path is shorter than the cap, as (cost, resulting id);
+    - ``merged[s]``: the merged root label of a tree state, else None;
+    - ``remove_all[s]``: the price of removing the whole state.
+    """
+
+    def __init__(self, tree: IndexedTree, model: CostModel, left: bool,
+                 params: FusionParams):
         self.t = tree
         self.model = model
         self.left = left
@@ -115,24 +138,16 @@ class _Side:
         self.fuse_node = model.cost_node_fusion if left else model.cost_node_split
         self.fuse_edge = model.cost_edge_fusion if left else model.cost_edge_split
         self.infos: dict[tuple[int, FusionPath], MergedNodeState] = {}
-        # States are interned to integer ids; id 0 is the empty forest.
-        # All hot-path caches are id-keyed.
         self.states: list[tuple] = [_EMPTY]
-        self.state_ids: dict[tuple, int] = {_EMPTY: 0}
-        self._cf_id: dict[tuple[int, FusionPath], int] = {}
-        self._merged_price: dict[tuple[int, FusionPath], float] = {}
-        self._split: dict[int, tuple[int, int]] = {}
-        self._removed: dict[int, tuple[float, int]] = {}
-        self._remove_all: dict[int, float] = {}
-        self._moves: dict[tuple[int, FusionPath, bool], tuple] = {}
-
-    def intern(self, state: tuple) -> int:
-        sid = self.state_ids.get(state)
-        if sid is None:
-            sid = len(self.states)
-            self.state_ids[state] = sid
-            self.states.append(state)
-        return sid
+        self.is_tree: list[bool] = [False]
+        self.left_part: list[int] = [0]
+        self.right_part: list[int] = [0]
+        self.rest: list[int] = [0]
+        self.rcost: list[float] = [0.0]
+        self.moves: list[tuple[tuple[float, int], ...]] = [()]
+        self.merged: list[Optional[LabelPair]] = [None]
+        self.remove_all: list[float] = [0.0]
+        self._close(params.cap, params.prune)
 
     def info(self, r: int, path: FusionPath) -> MergedNodeState:
         key = (r, path)
@@ -184,55 +199,75 @@ class _Side:
             return ("t", b, ())
         return ("f", a, b, holes)
 
-    def children_state(self, r: int, path: FusionPath) -> tuple:
-        return self.states[self.children_id(r, path)]
+    def _successors(self, state: tuple, cap: int, prune: bool) -> tuple[list, list]:
+        """Successor states, and the fusion moves as (cost, state)."""
+        if state[0] == "f":
+            _, a, b, holes = state
+            return [self.make_forest(a, self.t.l[b] - 1, holes), ("t", b, ()),
+                    self.make_forest(a, b - 1, holes)], []
+        r, path = state[1], state[2]
+        info = self.info(r, path)
+        moves = []
+        if len(path) < cap:
+            pair = self.t.pair
+            for c in info.children:
+                moves.append((self.fuse_node(info.merged, pair(c)),
+                              ("t", r, path + ((NODE_MARK, c),))))
+            if r != self.t.root and not (prune and path and path[-1][0] == NODE_MARK):
+                for c in info.children:
+                    moves.append((self.fuse_edge(info.merged, pair(c))
+                                  + self.displaced_cost(info, c),
+                                  ("t", r, path + ((EDGE_MARK, c),))))
+        return [self.make_forest(*info.cf)] + [m[1] for m in moves], moves
 
-    def children_id(self, r: int, path: FusionPath) -> int:
-        key = (r, path)
-        sid = self._cf_id.get(key)
-        if sid is None:
-            a, b, holes = self.info(r, path).cf
-            sid = self.intern(self.make_forest(a, b, holes))
-            self._cf_id[key] = sid
-        return sid
-
-    def merged_price(self, r: int, path: FusionPath) -> float:
-        key = (r, path)
-        price = self._merged_price.get(key)
-        if price is None:
-            price = self.price_pair(self.info(r, path).merged)
-            self._merged_price[key] = price
-        return price
-
-    def split_id(self, sid: int) -> tuple[int, int]:
-        """Ids of the left part and the rightmost complete tree."""
-        cached = self._split.get(sid)
-        if cached is None:
-            k = self.states[sid]
-            if k[0] == "t":
-                cached = (0, sid)
+    def _close(self, cap: int, prune: bool) -> None:
+        """Enumerate the closure in DFS postorder with an explicit stack."""
+        ids = {_EMPTY: 0}
+        root = ("t", self.t.root, ())
+        stack = [[root, *self._successors(root, cap, prune), 0]]
+        while stack:
+            frame = stack[-1]
+            succ = frame[1]
+            ptr = frame[3]
+            while ptr < len(succ) and succ[ptr] in ids:
+                ptr += 1
+            frame[3] = ptr
+            if ptr < len(succ):
+                stack.append([succ[ptr], *self._successors(succ[ptr], cap, prune), 0])
+                continue
+            stack.pop()
+            state, succ, moves, _ = frame
+            sid = ids[state] = len(self.states)
+            self.states.append(state)
+            if state[0] == "f":
+                _, a, b, holes = state
+                self.is_tree.append(False)
+                self.left_part.append(ids[succ[0]])
+                self.right_part.append(ids[succ[1]])
+                self.rest.append(ids[succ[2]])
+                self.rcost.append(self.cost1[b])
+                self.moves.append(())
+                self.merged.append(None)
+                self.remove_all.append(self.range_sum(a, b, holes))
             else:
-                _, a, b, holes = k
-                lb = self.t.l[b]
-                cached = (self.intern(self.make_forest(a, lb - 1, holes)),
-                          self.intern(("t", b, ())))
-            self._split[sid] = cached
-        return cached
+                info = self.info(state[1], state[2])
+                price = self.price_pair(info.merged)
+                self.is_tree.append(True)
+                self.left_part.append(0)
+                self.right_part.append(sid)
+                self.rest.append(ids[succ[0]])
+                self.rcost.append(price)
+                self.moves.append(tuple((cost, ids[child]) for cost, child in moves))
+                self.merged.append(info.merged)
+                self.remove_all.append(price + self.range_sum(*info.cf))
 
-    def remove_root_id(self, sid: int) -> tuple[float, int]:
-        """Price of removing the rightmost root, and the remaining state."""
-        cached = self._removed.get(sid)
-        if cached is None:
-            k = self.states[sid]
-            if k[0] == "t":
-                cached = (self.merged_price(k[1], k[2]),
-                          self.children_id(k[1], k[2]))
-            else:
-                _, a, b, holes = k
-                cached = (self.cost1[b],
-                          self.intern(self.make_forest(a, b - 1, holes)))
-            self._removed[sid] = cached
-        return cached
+    def path_counts(self) -> dict[int, int]:
+        """Number of fusion paths (the empty one included) per root."""
+        counts: dict[int, int] = {}
+        for state in self.states:
+            if state[0] == "t":
+                counts[state[1]] = counts.get(state[1], 0) + 1
+        return counts
 
     def range_sum(self, a: int, b: int, holes: tuple[int, ...]) -> float:
         if a > b:
@@ -240,47 +275,6 @@ class _Side:
         total = self.prefix[b] - self.prefix[a - 1]
         for h in holes:
             total -= self.cost1[h]
-        return total
-
-    def fusion_moves(self, r: int, path: FusionPath, prune: bool,
-                     root_id: int) -> tuple:
-        """Fusion branches from a single-tree state, one per candidate
-        child: (descriptor, cost, resulting state id).  Reusable against
-        any opposite-side state."""
-        key = (r, path, prune)
-        cached = self._moves.get(key)
-        if cached is None:
-            info = self.info(r, path)
-            kinds = ("nfu", "efu") if self.left else ("nsp", "esp")
-            moves = []
-            pair = self.t.pair
-            for c in info.children:
-                child = self.intern(("t", r, path + ((NODE_MARK, c),)))
-                moves.append(((kinds[0], c),
-                              self.fuse_node(info.merged, pair(c)), child))
-            allow_edge = r != root_id and not (
-                prune and path and path[-1][0] == NODE_MARK)
-            if allow_edge:
-                for c in info.children:
-                    child = self.intern(("t", r, path + ((EDGE_MARK, c),)))
-                    moves.append(((kinds[1], c),
-                                  self.fuse_edge(info.merged, pair(c))
-                                  + self.displaced_cost(info, c), child))
-            cached = tuple(moves)
-            self._moves[key] = cached
-        return cached
-
-    def remove_all_id(self, sid: int) -> float:
-        total = self._remove_all.get(sid)
-        if total is None:
-            state = self.states[sid]
-            if state[0] == "f":
-                total = self.range_sum(state[1], state[2], state[3])
-            else:
-                info = self.info(state[1], state[2])
-                total = (self.merged_price(state[1], state[2])
-                         + self.range_sum(*info.cf))
-            self._remove_all[sid] = total
         return total
 
     def displaced_cost(self, info: MergedNodeState, child: int) -> float:
@@ -301,14 +295,22 @@ class _Side:
 
 @dataclass
 class FusionDPState:
-    """Completed fusion DP: memo plus everything extraction needs."""
+    """Completed fusion DP: the pair table plus everything extraction needs.
+
+    ``memo`` is a flat ``array('d')`` over all pairs of states: cell
+    ``i * len(side_b.states) + j`` holds the distance from state ``i`` of
+    ``side_a`` to state ``j`` of ``side_b``.  ``choice`` holds, per cell,
+    the index of the first recurrence line that reaches the minimum (see
+    ``_fill``).
+    """
 
     a: IndexedTree
     b: IndexedTree
     model: CostModel
     params: FusionParams
     distance: float = 0.0
-    memo: dict = field(default_factory=dict)
+    memo: array = field(default_factory=lambda: array("d"))
+    choice: array = field(default_factory=lambda: array("B"))
     side_a: Optional[_Side] = None
     side_b: Optional[_Side] = None
 
@@ -318,219 +320,99 @@ def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
     """Distance over all seven operations with fusion paths capped at p.cap."""
     _warn_unvalidated(m)
     state = FusionDPState(a, b, m, p)
-    state.side_a = _Side(a, m, left=True)
-    state.side_b = _Side(b, m, left=False)
-    solver = _Solver(state)
-    root_key = solver.pack(state.side_a.intern(("t", a.root, ())),
-                           state.side_b.intern(("t", b.root, ())))
-    state.distance = solver.solve(root_key)
-    if __debug__:
-        _check_path_budget(state)
+    state.side_a = _Side(a, m, True, p)
+    state.side_b = _Side(b, m, False, p)
+    for side in (state.side_a, state.side_b):
+        _check_path_budget(side, p.cap)
+    state.memo, state.choice = _fill(state.side_a, state.side_b, m)
+    # Both roots are numbered last, so the root pair is the last cell.
+    state.distance = state.memo[-1]
     return state.distance, state
 
 
-def _check_path_budget(state: FusionDPState) -> None:
-    for side in (state.side_a, state.side_b):
-        d = max(2, side.t.max_degree)
-        # All path lengths up to the cap may be held at once.
-        budget = sum(path_count_bound(d, k) for k in range(state.params.cap + 1))
-        per_root: dict[int, int] = {}
-        for r, _path in side.infos:
-            per_root[r] = per_root.get(r, 0) + 1
-        for r, n_paths in per_root.items():
-            assert n_paths <= budget, (r, n_paths, budget)
+def _check_path_budget(side: _Side, cap: int) -> None:
+    d = max(2, side.t.max_degree)
+    # All path lengths up to the cap may be held at once.
+    budget = sum(path_count_bound(d, k) for k in range(cap + 1))
+    for r, n_paths in side.path_counts().items():
+        if n_paths > budget:
+            raise PathBudgetExceededError(
+                f"root {r}: {n_paths} fusion paths, budget {budget}")
 
 
-_DECOMPOSE = ("decompose",)
-_DEL4 = ("del4",)
-_INS4 = ("ins4",)
-_MATCH = ("match",)
-_DEL = ("del",)
-_INS = ("ins",)
+def _fill(sa: _Side, sb: _Side, m: CostModel) -> tuple[array, array]:
+    """Fill the pair table bottom-up, row by row in A's state order.
 
+    Every cell evaluates its recurrence lines in a fixed order and keeps
+    the first one that reaches the minimum, whose index goes to the
+    choice table:
 
-_SHIFT = 24
-_MASK = (1 << _SHIFT) - 1
+    0. match the two merged roots (both states trees), else decompose at
+       the rightmost complete trees;
+    1. delete the rightmost root of the A state;
+    2. insert the rightmost root of the B state;
+    3. (both states trees) the A state's fusions, then the B state's
+       splits, in ``_Side.moves`` order.
 
-
-class _Solver:
-    """Pair states are packed ints: (left state id << 24) | right state id."""
-
-    def __init__(self, state: FusionDPState):
-        self.state = state
-        self.sa = state.side_a
-        self.sb = state.side_b
-        self.cap = state.params.cap
-        self.prune = state.params.prune
-        self.model = state.model
-        self.memo = state.memo
-        self.match_cache: dict[tuple[LabelPair, LabelPair], float] = {}
-
-    @staticmethod
-    def pack(ida: int, idb: int) -> int:
-        return (ida << _SHIFT) | idb
-
-    def unpack(self, key: int) -> tuple[tuple, tuple]:
-        return self.sa.states[key >> _SHIFT], self.sb.states[key & _MASK]
-
-    def match_cost(self, pa: LabelPair, pb: LabelPair) -> float:
-        key = (pa, pb)
-        v = self.match_cache.get(key)
-        if v is None:
-            v = self.model.cost_match(pa, pb)
-            self.match_cache[key] = v
-        return v
-
-    def leaf_value(self, key: int) -> Optional[float]:
-        ida = key >> _SHIFT
-        idb = key & _MASK
-        if ida == 0:
-            return 0.0 if idb == 0 else self.sb.remove_all_id(idb)
-        if idb == 0:
-            return self.sa.remove_all_id(ida)
-        return None
-
-    def branches(self, key: int) -> list[tuple[tuple, float, tuple]]:
-        """All recurrence lines at this state as (descriptor, const, sub-pairs).
-
-        The enumeration order fixes tie-breaking: match, delete, insert,
-        then fusions and splits child by child; at forest states the
-        decomposition comes first.
-        """
-        sa, sb = self.sa, self.sb
-        ida = key >> _SHIFT
-        idb = key & _MASK
-        ka = sa.states[ida]
-        kb = sb.states[idb]
-        out: list[tuple[tuple, float, tuple]] = []
-        if ka[0] == "t" and kb[0] == "t":
-            ra, pa = ka[1], ka[2]
-            rb, pb = kb[1], kb[2]
-            ia = sa.info(ra, pa)
-            ib = sb.info(rb, pb)
-            cfa = sa.children_id(ra, pa) << _SHIFT
-            cfb = sb.children_id(rb, pb)
-            out.append((_MATCH, self.match_cost(ia.merged, ib.merged),
-                        (cfa | cfb,)))
-            out.append((_DEL, sa.merged_price(ra, pa), (cfa | idb,)))
-            out.append((_INS, sb.merged_price(rb, pb), ((ida << _SHIFT) | cfb,)))
-            if len(pa) < self.cap:
-                for desc, cost, child in sa.fusion_moves(ra, pa, self.prune,
-                                                         sa.t.root):
-                    out.append((desc, cost, ((child << _SHIFT) | idb,)))
-            if len(pb) < self.cap:
-                for desc, cost, child in sb.fusion_moves(rb, pb, self.prune,
-                                                         sb.t.root):
-                    out.append((desc, cost, ((ida << _SHIFT) | child,)))
-            return out
-        # Forest case: decompose at the rightmost complete subtrees, or
-        # remove a rightmost root.
-        left_a, right_a = sa.split_id(ida)
-        left_b, right_b = sb.split_id(idb)
-        out.append((_DECOMPOSE, 0.0,
-                    ((left_a << _SHIFT) | left_b, (right_a << _SHIFT) | right_b)))
-        cost_a, rest_a = sa.remove_root_id(ida)
-        out.append((_DEL4, cost_a, ((rest_a << _SHIFT) | idb,)))
-        cost_b, rest_b = sb.remove_root_id(idb)
-        out.append((_INS4, cost_b, ((ida << _SHIFT) | rest_b,)))
-        return out
-
-    def solve(self, root_key: int) -> float:
-        memo = self.memo
-        v = self.leaf_value(root_key)
-        if v is not None:
-            return v
-        if root_key in memo:
-            return memo[root_key]
-        sa, sb = self.sa, self.sb
-        states_a, states_b = sa.states, sb.states
-        remove_a = sa.remove_all_id
-        remove_b = sb.remove_all_id
-        split_a, split_b = sa.split_id, sb.split_id
-        root_a, root_b = sa.remove_root_id, sb.remove_root_id
-
-        def make_frame(key: int) -> list:
-            # Forest frames are flat: [key, None, kids, ptr, c_del, c_ins];
-            # single-tree frames carry the full branch list.
-            ida = key >> _SHIFT
-            idb = key & _MASK
-            if states_a[ida][0] == "t" and states_b[idb][0] == "t":
-                branch_list = self.branches(key)
-                kids = [p for _d, _c, pairs in branch_list for p in pairs]
-                return [key, branch_list, kids, 0, 0.0, 0.0]
-            left_a, right_a = split_a(ida)
-            left_b, right_b = split_b(idb)
-            cost_a, rest_a = root_a(ida)
-            cost_b, rest_b = root_b(idb)
-            kids = [(left_a << _SHIFT) | left_b,
-                    (right_a << _SHIFT) | right_b,
-                    (rest_a << _SHIFT) | idb,
-                    (ida << _SHIFT) | rest_b]
-            return [key, None, kids, 0, cost_a, cost_b]
-
-        # Iterative postorder over the state graph to avoid deep recursion.
-        stack: list[list] = [make_frame(root_key)]
-        while stack:
-            frame = stack[-1]
-            key = frame[0]
-            if key in memo:
-                stack.pop()
-                continue
-            kids = frame[2]
-            ptr = frame[3]
-            n_kids = len(kids)
-            pushed = False
-            while ptr < n_kids:
-                k = kids[ptr]
-                if k in memo:
-                    ptr += 1
-                    continue
-                ia = k >> _SHIFT
-                ib = k & _MASK
-                if ia == 0:
-                    memo[k] = 0.0 if ib == 0 else remove_b(ib)
-                    ptr += 1
-                    continue
-                if ib == 0:
-                    memo[k] = remove_a(ia)
-                    ptr += 1
-                    continue
-                frame[3] = ptr
-                stack.append(make_frame(k))
-                pushed = True
-                break
-            if pushed:
-                continue
-            frame[3] = ptr
-            branch_list = frame[1]
-            if branch_list is None:
-                best = memo[kids[0]] + memo[kids[1]]
-                alt = frame[4] + memo[kids[2]]
-                if alt < best:
-                    best = alt
-                alt = frame[5] + memo[kids[3]]
-                if alt < best:
-                    best = alt
+    Row 0 and column 0 hold the price of removing the other side whole.
+    """
+    na, nb = len(sa.states), len(sb.states)
+    most = 3 + max(map(len, sa.moves)) + max(map(len, sb.moves))
+    code = "B" if most <= 0xFF else "H" if most <= 0xFFFF else "L"
+    table = array("d", [0.0]) * (na * nb)
+    choice = array(code, [0]) * (na * nb)
+    table[:nb] = array("d", sb.remove_all)
+    labels_b: dict[LabelPair, int] = {}
+    for pair in sb.merged:
+        if pair is not None and pair not in labels_b:
+            labels_b[pair] = len(labels_b)
+    label_b = [labels_b.get(pair, -1) for pair in sb.merged]
+    match_rows: dict[LabelPair, list[float]] = {}
+    tree_b, left_b, right_b = sb.is_tree, sb.left_part, sb.right_part
+    rest_b, rcost_b, moves_b = sb.rest, sb.rcost, sb.moves
+    for i in range(1, na):
+        base = i * nb
+        table[base] = sa.remove_all[i]
+        tree_a = sa.is_tree[i]
+        left_a = sa.left_part[i] * nb
+        right_a = sa.right_part[i] * nb
+        rest_a = sa.rest[i] * nb
+        cost_a = sa.rcost[i]
+        if tree_a:
+            merged = sa.merged[i]
+            match_row = match_rows.get(merged)
+            if match_row is None:
+                match_row = [m.cost_match(merged, pb) for pb in labels_b]
+                match_rows[merged] = match_row
+            moves_a = [(cost, child * nb) for cost, child in sa.moves[i]]
+        for j in range(1, nb):
+            both = tree_a and tree_b[j]
+            if both:
+                best = match_row[label_b[j]] + table[rest_a + rest_b[j]]
             else:
-                best = None
-                for _desc, const, pairs in branch_list:
-                    total = const
-                    for p in pairs:
-                        total += memo[p]
-                    if best is None or total < best:
-                        best = total
-            memo[key] = best
-            stack.pop()
-        return memo[root_key]
-
-    def branch_value(self, const: float, pairs: tuple) -> float:
-        total = const
-        for p in pairs:
-            v = self.memo.get(p)
-            if v is None:
-                v = self.leaf_value(p)
-            total += v
-        return total
+                best = table[left_a + left_b[j]] + table[right_a + right_b[j]]
+            line = 0
+            alt = cost_a + table[rest_a + j]
+            if alt < best:
+                best, line = alt, 1
+            alt = rcost_b[j] + table[base + rest_b[j]]
+            if alt < best:
+                best, line = alt, 2
+            if both:
+                k = 3
+                for cost, off in moves_a:
+                    alt = cost + table[off + j]
+                    if alt < best:
+                        best, line = alt, k
+                    k += 1
+                for cost, child in moves_b[j]:
+                    alt = cost + table[base + child]
+                    if alt < best:
+                        best, line = alt, k
+                    k += 1
+            table[base + j] = best
+            choice[base + j] = line
+    return table, choice
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +542,19 @@ GroupMapping = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMapping]:
-    """Backtrack the memoized DP into a script and a group mapping.
+    """Follow the DP's choice table into a script and a group mapping.
+
+    The walk starts at the root pair and visits, depth first, the pairs of
+    each chosen recurrence line.  At every cell it re-adds the chosen
+    line's cost and checks it against the table value.
 
     Fused groups map as single units: each mapping entry pairs the tuple
     of T nodes merged into one object with the tuple of T' nodes that
     object was matched to.
     """
-    solver = _Solver(state)
-    solver.memo = state.memo
     sa, sb = state.side_a, state.side_b
+    table, choice = state.memo, state.choice
+    nb = len(sb.states)
     decisions = Decisions()
 
     def marks_for(side: _Side, r: int, path: FusionPath) -> tuple[MarkInfo, ...]:
@@ -694,85 +580,80 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
             for d in mk.displaced:
                 decisions.plain_inserts.append((d, sb.cost1[d]))
 
-    def spill(side: _Side, key: tuple, into: list, grouped: list) -> None:
-        """Emit removal decisions for a whole state (opposite side empty)."""
-        if key == _EMPTY:
-            return
-        if key[0] == "t":
-            r, path = key[1], key[2]
-            info = side.info(r, path)
-            if path:
-                marks = marks_for(side, r, path)
-                grouped.append((r, marks, side.price_pair(info.merged)))
-                if not side.left:
-                    record_j_displaced(marks)
-                spill(side, side.children_state(r, path), into, grouped)
-            else:
-                for x in side.t.subtree_nodes(r):
-                    into.append((x, side.cost1[x]))
+    def record_removal(side: _Side, sid: int, plain: list, grouped: list) -> None:
+        """Record removing the rightmost root of a state: a fused group
+        as one object, otherwise one plain node."""
+        key = side.states[sid]
+        if key[0] == "t" and key[2]:
+            marks = marks_for(side, key[1], key[2])
+            grouped.append((key[1], marks, side.rcost[sid]))
+            if not side.left:
+                record_j_displaced(marks)
         else:
-            for x in side.forest_members(key):
-                into.append((x, side.cost1[x]))
+            plain.append((key[1] if key[0] == "t" else key[2], side.rcost[sid]))
 
-    def walk(key: int) -> None:
-        ka, kb = solver.unpack(key)
-        if ka == _EMPTY and kb == _EMPTY:
+    def spill(side: _Side, sid: int, plain: list, grouped: list) -> None:
+        """Record removing a whole state (the opposite side is empty)."""
+        while sid:
+            key = side.states[sid]
+            if key[0] == "f":
+                members = side.forest_members(key)
+            elif not key[2]:
+                members = side.t.subtree_nodes(key[1])
+            else:
+                record_removal(side, sid, plain, grouped)
+                sid = side.rest[sid]
+                continue
+            plain.extend((x, side.cost1[x]) for x in members)
             return
-        if ka == _EMPTY:
-            spill(sb, kb, decisions.plain_inserts, decisions.inserted_groups)
-            return
-        if kb == _EMPTY:
-            spill(sa, ka, decisions.plain_deletes, decisions.deleted_groups)
-            return
-        target = state.memo.get(key)
-        if target is None:
-            target = solver.leaf_value(key)
-        for desc, const, pairs in solver.branches(key):
-            if solver.branch_value(const, pairs) == target:
-                _record(desc, ka, kb, pairs)
-                return
-        raise MalformedIndexError(f"no branch reproduces the value at {key}")
 
-    def _record(desc: tuple, ka: tuple, kb: tuple, pairs: tuple) -> None:
-        op = desc[0]
-        if op == "match":
-            ra, pa = ka[1], ka[2]
-            rb, pb = kb[1], kb[2]
-            i_marks = marks_for(sa, ra, pa)
-            j_marks = marks_for(sb, rb, pb)
-            cost = solver.match_cost(sa.info(ra, pa).merged, sb.info(rb, pb).merged)
-            decisions.groups.append(GroupDecision(ra, i_marks, rb, j_marks, cost))
+    stack = [(len(sa.states) - 1, nb - 1)]
+    while stack:
+        i, j = stack.pop()
+        if i == 0:
+            spill(sb, j, decisions.plain_inserts, decisions.inserted_groups)
+            continue
+        if j == 0:
+            spill(sa, i, decisions.plain_deletes, decisions.deleted_groups)
+            continue
+        cell = i * nb + j
+        line = choice[cell]
+        if line == 0 and sa.is_tree[i] and sb.is_tree[j]:
+            ka, kb = sa.states[i], sb.states[j]
+            cost = state.model.cost_match(sa.merged[i], sb.merged[j])
+            pairs = [(sa.rest[i], sb.rest[j])]
+            j_marks = marks_for(sb, kb[1], kb[2])
+            decisions.groups.append(GroupDecision(
+                ka[1], marks_for(sa, ka[1], ka[2]), kb[1], j_marks, cost))
             record_j_displaced(j_marks)
-        elif op in ("del", "del4"):
-            if ka[0] == "t":
-                ra, pa = ka[1], ka[2]
-                cost = sa.price_pair(sa.info(ra, pa).merged)
-                if pa:
-                    decisions.deleted_groups.append((ra, marks_for(sa, ra, pa), cost))
-                else:
-                    decisions.plain_deletes.append((ra, cost))
+        elif line == 0:
+            cost = 0.0
+            pairs = [(sa.left_part[i], sb.left_part[j]),
+                     (sa.right_part[i], sb.right_part[j])]
+        elif line == 1:
+            cost = sa.rcost[i]
+            pairs = [(sa.rest[i], j)]
+            record_removal(sa, i, decisions.plain_deletes, decisions.deleted_groups)
+        elif line == 2:
+            cost = sb.rcost[j]
+            pairs = [(i, sb.rest[j])]
+            record_removal(sb, j, decisions.plain_inserts, decisions.inserted_groups)
+        else:
+            # A fusion or a B split records nothing here: the path is
+            # carried in the next state and resolved at its terminal line.
+            k = line - 3
+            if k < len(sa.moves[i]):
+                cost, child = sa.moves[i][k]
+                pairs = [(child, j)]
             else:
-                b_node = ka[2]
-                decisions.plain_deletes.append((b_node, sa.cost1[b_node]))
-        elif op in ("ins", "ins4"):
-            if kb[0] == "t":
-                rb, pb = kb[1], kb[2]
-                cost = sb.price_pair(sb.info(rb, pb).merged)
-                if pb:
-                    marks = marks_for(sb, rb, pb)
-                    decisions.inserted_groups.append((rb, marks, cost))
-                    record_j_displaced(marks)
-                else:
-                    decisions.plain_inserts.append((rb, cost))
-            else:
-                b_node = kb[2]
-                decisions.plain_inserts.append((b_node, sb.cost1[b_node]))
-        # fusion/split/decompose branches record nothing here; the path is
-        # carried in the child state and resolved at its terminal line.
-        for p in pairs:
-            walk(p)
-
-    walk(solver.pack(sa.intern(("t", sa.t.root, ())),
-                     sb.intern(("t", sb.t.root, ()))))
+                cost, child = sb.moves[j][k - len(sa.moves[i])]
+                pairs = [(i, child)]
+        total = cost
+        for p, q in pairs:
+            total += table[p * nb + q]
+        if total != table[cell]:
+            raise MalformedIndexError(
+                f"line {line} does not reproduce the value at {(i, j)}")
+        stack.extend(reversed(pairs))
     script, mapping = assemble_script(sa.t, sb.t, state.model, decisions)
     return script, mapping

@@ -120,7 +120,3 @@ def shape_to_tree(shape: tuple, node_labels: Sequence[Label],
         return node
 
     return LabeledTree(build(shape, True))
-
-
-def count_labeled_trees(n: int, alphabet: int) -> int:
-    return len(all_tree_shapes(n)) * alphabet ** n

@@ -263,10 +263,6 @@ class StructureElement:
     # helices only: the run of pairs outermost-first.
     pairs: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def total_size(self) -> int:
-        return sum(self.sizes)
-
 
 @dataclass
 class ElementGraph:

@@ -8,8 +8,8 @@ leftmost-leaf / keyroot indexing required by the edit distance algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .rna_structures import ElementGraph, ElementKind, SecondaryStructure, decompose
 
@@ -301,9 +301,6 @@ def build_rep_e(g: ElementGraph) -> LabeledTree:
         return out
 
     return LabeledTree(contract(rep_d.root), "e", g.structure.id)
-
-
-_BUILDERS: dict[str, Callable[[SecondaryStructure], LabeledTree]] = {}
 
 
 def build(s: SecondaryStructure, rep: str) -> LabeledTree:

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from rnatreedit import fusion_distance
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import replay_script, zs_distance
-from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
-                                        fusion_dp, path_count_bound)
+from rnatreedit.edit_distance import (MalformedIndexError, replay_script,
+                                      zs_distance)
+from rnatreedit.fusion_distance import (FusionParams, PathBudgetExceededError,
+                                        extract_fusion_script, fusion_dp,
+                                        path_count_bound)
 from rnatreedit.generators import random_tree
 from rnatreedit.oracle import SearchBudget, script_search_oracle
 from rnatreedit.tree_model import (Label, LabeledTree, ROOT_LABEL, TreeNode,
@@ -241,6 +244,13 @@ class TestScripts:
         assert all(op.kind == "relabel" for op in script.ops)
         assert sorted(mapping) == [((i,), (i,)) for i in range(1, t.n + 1)]
 
+    def test_corrupt_table_is_detected(self, small_helix):
+        a, b = small_helix
+        _, state = fusion_dp(a, b, structural_model(t=0.05), FusionParams(cap=1))
+        state.memo[-1] += 0.25
+        with pytest.raises(MalformedIndexError, match="does not reproduce"):
+            extract_fusion_script(state)
+
 
 class TestPathCountBound:
     def test_empty_path(self):
@@ -261,13 +271,29 @@ class TestPathCountBound:
             path_count_bound(1, 1)
 
     def test_observed_paths_within_budget(self, rng):
-        # enforced by an assert inside fusion_dp in debug mode; run a few
-        # comparisons to exercise it
         m = structural_model(t=0.05)
+        most = 0
         for _ in range(20):
             a = index(random_tree(rng, 8, 4, NODE_LABELS, EDGE_LABELS))
             b = index(random_tree(rng, 8, 4, NODE_LABELS, EDGE_LABELS))
-            fusion_dp(a, b, m, FusionParams(cap=2))
+            _, state = fusion_dp(a, b, m, FusionParams(cap=2))
+            for side in (state.side_a, state.side_b):
+                d = max(2, side.t.max_degree)
+                budget = sum(path_count_bound(d, k) for k in range(3))
+                counts = side.path_counts()
+                assert set(counts) == set(range(1, side.t.n + 1))
+                assert max(counts.values()) <= budget
+                most = max(most, max(counts.values()))
+        # fused paths were enumerated, not only the empty one per root
+        assert most > 1
+
+    def test_budget_violation_raises(self, helix_split, monkeypatch):
+        monkeypatch.setattr(fusion_distance, "path_count_bound",
+                            lambda d, cap: 1 if cap == 0 else 0)
+        a, b = helix_split
+        with pytest.raises(PathBudgetExceededError,
+                           match=r"root \d+: \d+ fusion paths, budget 1"):
+            fusion_dp(a, b, structural_model(t=0.05), FusionParams(cap=1))
 
 
 class TestParams:
