@@ -23,7 +23,7 @@ from .oracle import (BudgetExceededError, SearchBudget, mapping_oracle,
 from .rna_structures import (ElementGraph, ElementKind, SecondaryStructure,
                              StructureElement, decompose, emit_ct,
                              emit_dotbracket, parse_ct, parse_dotbracket)
-from .tree_model import (Forest, IndexedTree, Label, LabeledTree, TreeNode,
+from .tree_model import (IndexedTree, Label, LabeledTree, TreeNode,
                          build, build_rep_b, build_rep_c, build_rep_d,
                          build_rep_e, index, to_dot, to_parenthesized,
                          trees_equal)

@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import cost_models, generators, multilevel, oracle
-from .edit_distance import EditScript, extract_script, replay_script, zs_distance
+from .edit_distance import (EditScript, InternalError, extract_script, replay_script,
+                            zs_distance)
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, StructureError, parse_ct, parse_dotbracket
 from .tree_model import Label, build, index, to_dot, to_parenthesized
@@ -446,7 +447,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, cost_models.InvalidTError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AssertionError as exc:
+    except (InternalError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -5,6 +5,18 @@ postorder-indexed trees: an outer loop over keyroot pairs, a transient
 forest table per pair, and a persistent subtree-distance table.  Node and
 incoming edge are priced together as one object.
 
+Each tree's (node label, edge label) pairs are interned into label
+classes, and the model prices one class-by-class match table, one call
+per distinct pair of classes; the forest passes and the extraction read
+that table.  What a pass needs of T' (insert costs, prefix columns,
+leftmost-path flags, classes) is built once per keyroot of T', and what
+it needs of T (delete costs, treedist rows, match-table rows, forest
+rows) once per keyroot of T, so the inner loops only index lists.  A
+cell's candidates (delete, insert, then match or decomposition) are
+compared in that order with strict ``<``, so ties resolve as ``min``
+resolves them and the tables are the same floats, bit for bit, as a
+cell-by-cell ``min`` gives.
+
 This module also owns the edit-operation types, script extraction via
 backtracking, and a mechanical replay engine that applies a script to a
 tree without consulting the target: every operation carries the payload
@@ -21,7 +33,11 @@ from .cost_models import CostModel, LabelPair
 from .tree_model import IndexedTree, Label, LabeledTree, TreeNode
 
 
-class MalformedIndexError(ValueError):
+class InternalError(Exception):
+    """An invariant of the program failed: a bug, not a bad input."""
+
+
+class MalformedIndexError(InternalError):
     pass
 
 
@@ -228,7 +244,12 @@ def replay_script(a: IndexedTree, script: EditScript) -> LabeledTree:
 
 @dataclass
 class DPTables:
-    """Persistent subtree-distance table plus what backtracking needs."""
+    """Persistent subtree-distance table plus what backtracking needs.
+
+    ``class_a``/``class_b`` give each node's label class (its distinct
+    (node label, edge label) pair) and ``match_table[ca][cb]`` the
+    relabel cost between two classes.
+    """
 
     a: IndexedTree
     b: IndexedTree
@@ -237,9 +258,9 @@ class DPTables:
     distance: float
     del_costs: list[float]
     ins_costs: list[float]
-
-    def match_cost(self, i: int, j: int) -> float:
-        return self.model.cost_match(self.a.pair(i), self.b.pair(j))
+    class_a: list[int]
+    class_b: list[int]
+    match_table: list[list[float]]
 
 
 def _check_indexed(t: IndexedTree) -> None:
@@ -256,6 +277,19 @@ def _warn_unvalidated(m: CostModel) -> None:
                       "the result may not be a distance", stacklevel=3)
 
 
+def _label_classes(t: IndexedTree) -> tuple[list[int], list[LabelPair]]:
+    """Class id per node (index 0 unused) and one pair per class.
+
+    Nodes with equal (node label, edge label) pairs share a class; ids
+    follow first appearance in postorder.
+    """
+    ids: dict[LabelPair, int] = {}
+    cls = [0] * (t.n + 1)
+    for i in range(1, t.n + 1):
+        cls[i] = ids.setdefault(t.pair(i), len(ids))
+    return cls, list(ids)
+
+
 def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DPTables]:
     """Tree edit distance over the classical three operations."""
     _check_indexed(a)
@@ -267,58 +301,108 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     ins2 = [0.0] * (b.n + 1)
     for j in range(1, b.n + 1):
         ins2[j] = m.cost_ins(b.pair(j))
+    class_a, pairs_a = _label_classes(a)
+    class_b, pairs_b = _label_classes(b)
+    match_table = [[m.cost_match(p, q) for q in pairs_b] for p in pairs_a]
     treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
-    tables = DPTables(a, b, m, treedist, 0.0, del1, ins2)
-    match_cache: dict[tuple[int, int], float] = {}
+    tables = DPTables(a, b, m, treedist, 0.0, del1, ins2,
+                      class_a, class_b, match_table)
+    columns = [_columns(tables, j) for j in b.keyroots]
     for i in a.keyroots:
-        for j in b.keyroots:
-            _forest_pass(tables, i, j, match_cache)
+        _forest_pass(tables, i, columns)
     tables.distance = treedist[a.n][b.n]
     return tables.distance, tables
 
 
-def _forest_pass(t: DPTables, i: int, j: int,
-                 match_cache: dict[tuple[int, int], float],
-                 keep: bool = False) -> Optional[list[list[float]]]:
-    """Forest table for the subtree pair anchored at (i, j).
+def _columns(t: DPTables, j: int) -> tuple:
+    """Column data of every forest pass anchored at T' node j.
 
-    Writes treedist for every cell whose ranges are complete subtrees.
-    With ``keep`` the table is returned for backtracking.
+    For the columns y = 1..j-joff (node gj = y + joff, joff = l(j) - 1):
+    the insert costs, the column ``l(gj) - 1 - joff`` where the forest
+    left of gj's subtree ends, whether gj lies on the leftmost path of
+    j, and the label classes; plus row 0 of the forest table (cumulative
+    insert costs, only ever read) and the slice and range of the nodes.
     """
-    a, b, model = t.a, t.b, t.model
-    la, lb = a.l, b.l
-    del1, ins2 = t.del_costs, t.ins_costs
-    treedist = t.treedist
-    ioff = la[i] - 1
+    lb = t.b.l
     joff = lb[j] - 1
-    rows = i - ioff + 1
-    cols = j - joff + 1
-    fd = [[0.0] * cols for _ in range(rows)]
-    for x in range(1, rows):
-        fd[x][0] = fd[x - 1][0] + del1[x + ioff]
-    for y in range(1, cols):
-        fd[0][y] = fd[0][y - 1] + ins2[y + joff]
-    for x in range(1, rows):
-        fdx = fd[x]
-        fdx1 = fd[x - 1]
-        gi = x + ioff
-        for y in range(1, cols):
-            gj = y + joff
-            if la[gi] == la[i] and lb[gj] == lb[j]:
-                key = (gi, gj)
-                mc = match_cache.get(key)
-                if mc is None:
-                    mc = model.cost_match(a.pair(gi), b.pair(gj))
-                    match_cache[key] = mc
-                best = min(fdx1[y] + del1[gi],
-                           fdx[y - 1] + ins2[gj],
-                           fdx1[y - 1] + mc)
-                fdx[y] = best
-                treedist[gi][gj] = best
+    nodes = range(joff + 1, j + 1)
+    span = slice(joff + 1, j + 1)
+    ins = t.ins_costs[span]
+    row0 = [0.0]
+    for cost in ins:
+        row0.append(row0[-1] + cost)
+    prefix = [lb[gj] - 1 - joff for gj in nodes]
+    on_path = [lb[gj] == lb[j] for gj in nodes]
+    return row0, ins, prefix, on_path, t.class_b[span], span, nodes
+
+
+def _forest_pass(t: DPTables, i: int, cols: list[tuple],
+                 keep: bool = False) -> Optional[list[list[float]]]:
+    """Forest tables for the subtree pairs anchored at (i, j), j in turn.
+
+    ``cols`` holds ``_columns(t, j)`` for each j.  The row data of i (for
+    each node gi of its subtree, in postorder: its delete cost, its
+    treedist row, its class's match-table row when gi lies on the
+    leftmost path of i, and the forest row left of its subtree) is read
+    once for all of them.  Each table is built row by row, each row left
+    to right.  A cell takes the cheapest of: delete (from above), insert
+    (from the left), and either a match, when both nodes lie on the
+    leftmost paths of i and j (diagonal plus the class match cost; the
+    cell is then a subtree distance and is written to treedist), or the
+    forest left of both subtrees plus their treedist.  The candidates
+    are compared in that order with strict ``<``, so the first minimum
+    wins, as with ``min``.  With ``keep`` the last table is returned for
+    backtracking.
+    """
+    la = t.a.l
+    li = la[i]
+    match_table, class_a = t.match_table, t.class_a
+    rows = [(t.del_costs[gi], t.treedist[gi],
+             match_table[class_a[gi]] if la[gi] == li else None, la[gi] - li)
+            for gi in range(li, i + 1)]
+    fd: list[list[float]] = []
+    for row0, ins, prefix, on_path, classes, span, nodes in cols:
+        fd = [row0]
+        up_row = row0
+        for dgi, tdi, mrow, fx in rows:
+            left = up_row[0] + dgi
+            row = [left]
+            # ``left`` takes the delete candidate, then the running
+            # minimum, which is the next cell's left neighbour.
+            if mrow is not None:
+                # gi is on the leftmost path of i: the forest left of its
+                # subtree is row 0.
+                diag = up_row[0]
+                for gj, up, cost, p, on, c in zip(nodes, up_row[1:], ins, prefix,
+                                                  on_path, classes):
+                    w = left + cost
+                    left = up + dgi
+                    if w < left:
+                        left = w
+                    if on:
+                        w = diag + mrow[c]
+                        if w < left:
+                            left = w
+                        tdi[gj] = left
+                    else:
+                        w = row0[p] + tdi[gj]
+                        if w < left:
+                            left = w
+                    row.append(left)
+                    diag = up
             else:
-                fdx[y] = min(fdx1[y] + del1[gi],
-                             fdx[y - 1] + ins2[gj],
-                             fd[la[gi] - 1 - ioff][lb[gj] - 1 - joff] + treedist[gi][gj])
+                forest = fd[fx]
+                for up, cost, p, td in zip(up_row[1:], ins, prefix, tdi[span]):
+                    w = left + cost
+                    left = up + dgi
+                    if w < left:
+                        left = w
+                    w = forest[p] + td
+                    if w < left:
+                        left = w
+                    row.append(left)
+            fd.append(row)
+            up_row = row
     return fd if keep else None
 
 
@@ -333,20 +417,20 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
     decomposition first at forest cells.
     """
     a, b = tables.a, tables.b
-    match_cache: dict[tuple[int, int], float] = {}
+    class_a, class_b, match_table = tables.class_a, tables.class_b, tables.match_table
     matches: list[tuple[int, int]] = []
     deletes: list[int] = []
     inserts: list[int] = []
 
     def walk_tree(i: int, j: int) -> None:
-        fd = _forest_pass(tables, i, j, match_cache, keep=True)
+        fd = _forest_pass(tables, i, [_columns(tables, j)], keep=True)
         ioff = a.l[i] - 1
         joff = b.l[j] - 1
         x, y = i - ioff, j - joff
         while x > 0 or y > 0:
             gi, gj = x + ioff, y + joff
             if x > 0 and y > 0 and a.l[gi] == a.l[i] and b.l[gj] == b.l[j]:
-                mc = tables.match_cost(gi, gj)
+                mc = match_table[class_a[gi]][class_b[gj]]
                 if fd[x][y] == fd[x - 1][y - 1] + mc:
                     matches.append((gi, gj))
                     x -= 1
@@ -377,7 +461,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
                 y -= 1
 
     walk_tree(a.root, b.root)
-    groups = [GroupDecision(i, (), j, (), tables.match_cost(i, j))
+    groups = [GroupDecision(i, (), j, (), match_table[class_a[i]][class_b[j]])
               for i, j in matches]
     decisions = Decisions(groups=groups,
                           plain_deletes=[(d, tables.del_costs[d]) for d in deletes],

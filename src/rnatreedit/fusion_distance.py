@@ -31,8 +31,9 @@ from typing import Optional
 
 from .cost_models import CostModel, LabelPair
 from .edit_distance import (Decisions, EditOp, EditScript, GroupDecision,
-                            MarkInfo, MalformedIndexError, ReplayContext,
-                            ReplayNode, assemble_script, _warn_unvalidated)
+                            InternalError, MarkInfo, MalformedIndexError,
+                            ReplayContext, ReplayNode, assemble_script,
+                            _warn_unvalidated)
 from .tree_model import IndexedTree, Label
 
 # A fusion path is a tuple of marks; each mark is ('u', v) for a node
@@ -46,7 +47,7 @@ EDGE_MARK = "e"
 _EMPTY = ("f", 1, 0, ())
 
 
-class PathBudgetExceededError(RuntimeError):
+class PathBudgetExceededError(InternalError):
     """A root holds more fusion paths than ``path_count_bound`` allows."""
 
 

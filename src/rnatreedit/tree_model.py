@@ -368,24 +368,3 @@ def to_dot(t: LabeledTree, name: str = "tree",
     visit(t.root, None)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Forest:
-    """A postorder index range t_lo..t_hi of an IndexedTree."""
-
-    tree: IndexedTree
-    lo: int
-    hi: int
-
-    def indices(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def roots(self) -> list[int]:
-        """Top-level subtree roots inside the range, left to right."""
-        out = []
-        i = self.hi
-        while i >= self.lo:
-            out.append(i)
-            i = self.tree.l[i] - 1
-        return list(reversed(out))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rnatreedit import cli, fusion_distance
 from rnatreedit.cli import main
 from rnatreedit.edit_distance import EditScript, replay_script
 from rnatreedit.generators import random_structure
@@ -204,3 +205,31 @@ class TestBatch:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+
+class TestInternalErrors:
+    """Invariant failures exit 4 with one line on stderr, never a traceback."""
+
+    def _assert_internal(self, code, capsys, text):
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal invariant failure: ")
+        assert err.count("\n") == 1 and text in err
+
+    def test_corrupt_fusion_table(self, split_files, capsys, monkeypatch):
+        def corrupted(*args):
+            distance, state = fusion_distance.fusion_dp(*args)
+            state.memo[-1] += 0.25
+            return distance, state
+
+        monkeypatch.setattr(cli, "fusion_dp", corrupted)
+        a, b = split_files
+        code = main(["compare", a, b, "--rep", "d", "--l", "1"])
+        self._assert_internal(code, capsys, "does not reproduce")
+
+    def test_path_budget_exceeded(self, split_files, capsys, monkeypatch):
+        monkeypatch.setattr(fusion_distance, "path_count_bound",
+                            lambda d, cap: 1 if cap == 0 else 0)
+        a, b = split_files
+        code = main(["compare", a, b, "--rep", "d", "--l", "1"])
+        self._assert_internal(code, capsys, "fusion paths, budget 1")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -6,9 +7,11 @@ import pytest
 from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import (extract_script, replay_script,
                                       validate_mapping, zs_distance)
-from rnatreedit.generators import all_tree_shapes, random_tree, shape_to_tree
+from rnatreedit.generators import (all_tree_shapes, random_structure, random_tree,
+                                   shape_to_tree)
 from rnatreedit.oracle import mapping_oracle
-from rnatreedit.tree_model import Label, LabeledTree, TreeNode, index, trees_equal
+from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index,
+                                   trees_equal)
 
 from conftest import EDGE_LABELS, NODE_LABELS
 
@@ -99,6 +102,33 @@ class TestDistance:
         m = unit_model(ins_scale=2.0)
         with pytest.warns(UserWarning):
             zs_distance(a, a, m)
+
+
+class TestCostCalls:
+    def test_match_priced_once_per_label_class_pair(self):
+        base = structural_model(t=0.05)
+        seen = []
+
+        def match(a, b):
+            seen.append((a, b))
+            return base.match_fn(a, b)
+
+        counting = dataclasses.replace(base, match_fn=match)
+        rng = random.Random(7)
+        for rep in "bcd":
+            a = index(build(random_structure(rng, 80), rep))
+            b = index(build(random_structure(rng, 80), rep))
+            seen.clear()
+            d, tables = zs_distance(a, b, counting)
+            extract_script(tables)
+            classes_a = len({a.pair(i) for i in range(1, a.n + 1)})
+            classes_b = len({b.pair(j) for j in range(1, b.n + 1)})
+            assert len(seen) <= classes_a * classes_b < a.n * b.n, rep
+            for pair in (p for call in seen for p in call):
+                assert isinstance(pair, tuple) and len(pair) == 2
+                assert isinstance(pair[0], Label)
+                assert pair[1] is None or isinstance(pair[1], Label)
+            assert d == zs_distance(a, b, base)[0]
 
 
 class TestScript:

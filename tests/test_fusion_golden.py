@@ -1,23 +1,29 @@
-"""Bit-identity gate for the fusion DP.
+"""Bit-identity gate for the fusion DP and the keyroot (ZS) program.
 
 ``fusion_golden.json`` holds the distance ``repr``, the script JSON and the
-group mapping of seeded pairs built from ``random_structure``, recorded
-with the top-down memoised solver that the dense table replaced.  Any
-change to the fusion DP must reproduce every record exactly.
+mapping of seeded pairs built from ``random_structure``.  The fusion
+records were made with the top-down memoised solver that the dense table
+replaced; the ZS records (``zs-...`` and ``fine-...``, which also hold a
+sha256 of the full subtree-distance table) with the per-cell ZS loop that
+the label-class kernel replaced.  Any change to either program must
+reproduce every record exactly.
 
 Regenerate (only when a change of results is intended) with::
 
     PYTHONPATH=src python tests/test_fusion_golden.py
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
 from rnatreedit.cost_models import structural_model, unit_model
+from rnatreedit.edit_distance import extract_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
 from rnatreedit.generators import random_structure
+from rnatreedit.multilevel import ColoredRepB, coarse_pass, color_rep_b, fine_pass
 from rnatreedit.rna_structures import SecondaryStructure
 from rnatreedit.tree_model import build, index
 
@@ -48,7 +54,16 @@ def variant(rng: random.Random, s: SecondaryStructure) -> SecondaryStructure:
 
 
 def golden_cases():
-    """(case id, tree a, tree b, model name, params) in a fixed order."""
+    """(case id, a, b, model name, params) in a fixed order.
+
+    ``params`` is None for a ZS case; a and b are then indexed trees, or
+    colored per-base trees for a multilevel fine pass.
+    """
+    yield from fusion_cases()
+    yield from zs_cases()
+
+
+def fusion_cases():
     for rep, seed in (("c", 11), ("d", 12)):
         rng = random.Random(seed)
         for k in range(PAIRS_PER_REP):
@@ -64,12 +79,43 @@ def golden_cases():
                         yield case, a, b, name, FusionParams(cap=cap, prune=prune)
 
 
+def zs_cases():
+    for rep, seed in (("b", 21), ("c", 22), ("d", 23), ("e", 24)):
+        rng = random.Random(seed)
+        for k in range(PAIRS_PER_REP):
+            base = random_structure(rng, rng.randint(40, 70))
+            sa = variant(rng, base)
+            sb = random_structure(rng, rng.randint(40, 70)) if k == 0 else variant(rng, base)
+            a, b = index(build(sa, rep)), index(build(sb, rep))
+            for name in MODELS:
+                yield f"zs-rep{rep}-{k}-{name}", a, b, name, None
+    rng = random.Random(25)
+    for k in range(2):
+        base = stacked(random_structure(rng, rng.randint(30, 40)))
+        sa, sb = variant(rng, base), variant(rng, base)
+        for name in MODELS:
+            _, colors = coarse_pass(sa, sb, "c", MODELS[name], FusionParams(cap=1))
+            a = color_rep_b(sa, colors.colors_a, colors.token)
+            b = color_rep_b(sb, colors.colors_b, colors.token)
+            yield f"fine-{k}-{name}", a, b, name, None
+
+
 def record(a, b, name, params) -> dict:
-    distance, state = fusion_dp(a, b, MODELS[name], params)
-    script, mapping = extract_fusion_script(state)
+    if params is not None:
+        distance, state = fusion_dp(a, b, MODELS[name], params)
+        script, mapping = extract_fusion_script(state)
+        return {"distance": repr(distance),
+                "script": script.to_json(),
+                "mapping": [[list(ga), list(gb)] for ga, gb in mapping]}
+    if isinstance(a, ColoredRepB):
+        distance, _, tables = fine_pass(a, b, MODELS[name])
+    else:
+        distance, tables = zs_distance(a, b, MODELS[name])
+    script, mapping = extract_script(tables)
     return {"distance": repr(distance),
+            "treedist": hashlib.sha256(repr(tables.treedist).encode()).hexdigest(),
             "script": script.to_json(),
-            "mapping": [[list(ga), list(gb)] for ga, gb in mapping]}
+            "mapping": sorted([i, j] for i, j in mapping)}
 
 
 def test_golden_records_bit_identical():
@@ -83,7 +129,7 @@ def test_golden_records_bit_identical():
 
 
 def test_table_is_full_product_of_closures_in_successor_order():
-    for case, a, b, name, params in golden_cases():
+    for case, a, b, name, params in fusion_cases():
         _, state = fusion_dp(a, b, MODELS[name], params)
         sa, sb = state.side_a, state.side_b
         assert len(state.memo) == len(sa.states) * len(sb.states), case

@@ -4,8 +4,8 @@ import pytest
 
 from rnatreedit.generators import random_structure, random_tree
 from rnatreedit.rna_structures import decompose, parse_dotbracket
-from rnatreedit.tree_model import (Forest, Label, LabeledTree, TreeNode, build,
-                                   index, to_dot, to_parenthesized, trees_equal)
+from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index, to_dot,
+                                   to_parenthesized, trees_equal)
 
 
 def db(seq, struct):
@@ -145,9 +145,3 @@ class TestSerialization:
         assert "shape=diamond" in text  # internal loop
         assert "shape=box" in text      # hairpin
         assert text.startswith("digraph")
-
-    def test_forest_roots(self):
-        t = index(build(STEM_LOOP, "b"))
-        f = Forest(t, 1, t.n - 1)  # children forest of the root
-        roots = f.roots()
-        assert all(t.parent[r] == t.root for r in roots)
