@@ -447,6 +447,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, cost_models.InvalidTError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("out of memory: the comparison needs more memory than is available",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except RecursionError as exc:
+        print(f"internal invariant failure: recursion limit reached: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     except (InternalError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,6 +17,15 @@ compared in that order with strict ``<``, so ties resolve as ``min``
 resolves them and the tables are the same floats, bit for bit, as a
 cell-by-cell ``min`` gives.
 
+A pass depends only on the labels and shapes of its two subtrees, and
+RNA trees repeat small subtrees (most keyroots of a per-base tree are
+leaves).  Every subtree is interned into a canonical id (its label class
+and its children's ids), and only the first keyroot of each id on each
+side runs passes; a later twin takes its subtree distances from the
+first, offset by their distance in postorder.  ``DPTables.cells`` counts
+the forest cells actually filled.  The table that results is the full
+node-indexed one, the same floats as when every pass runs.
+
 This module also owns the edit-operation types, script extraction via
 backtracking, and a mechanical replay engine that applies a script to a
 tree without consulting the target: every operation carries the payload
@@ -248,7 +257,9 @@ class DPTables:
 
     ``class_a``/``class_b`` give each node's label class (its distinct
     (node label, edge label) pair) and ``match_table[ca][cb]`` the
-    relabel cost between two classes.
+    relabel cost between two classes.  ``cells`` counts the forest-table
+    cells ``zs_distance`` filled, so the passes it left to twin subtrees
+    are not in it.
     """
 
     a: IndexedTree
@@ -261,6 +272,7 @@ class DPTables:
     class_a: list[int]
     class_b: list[int]
     match_table: list[list[float]]
+    cells: int = 0
 
 
 def _check_indexed(t: IndexedTree) -> None:
@@ -290,6 +302,26 @@ def _label_classes(t: IndexedTree) -> tuple[list[int], list[LabelPair]]:
     return cls, list(ids)
 
 
+def _twins(t: IndexedTree, cls: list[int]) -> dict[int, int]:
+    """Each keyroot whose subtree equals an earlier keyroot's -> that one.
+
+    Every subtree gets a canonical id, interned in postorder from its
+    root's label class and its children's ids, so two subtrees share an
+    id exactly when they have the same shape and the same labels.
+    """
+    ids: dict[tuple, int] = {}
+    sub = [0] * (t.n + 1)
+    for k in range(1, t.n + 1):
+        sub[k] = ids.setdefault((cls[k], tuple(sub[c] for c in t.children[k])), len(ids))
+    first: dict[int, int] = {}
+    twins = {}
+    for k in t.keyroots:
+        k0 = first.setdefault(sub[k], k)
+        if k0 != k:
+            twins[k] = k0
+    return twins
+
+
 def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DPTables]:
     """Tree edit distance over the classical three operations."""
     _check_indexed(a)
@@ -307,9 +339,23 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
     tables = DPTables(a, b, m, treedist, 0.0, del1, ins2,
                       class_a, class_b, match_table)
-    columns = [_columns(tables, j) for j in b.keyroots]
+    # Node g of a twin keyroot k corresponds to node g - k + k0 of its
+    # first k0: their subtree distances are the same floats.
+    twins_a = _twins(a, class_a)
+    twins_b = _twins(b, class_b)
+    la, lb = a.l, b.l
+    columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
+               if j in twins_b else _columns(tables, j) for j in b.keyroots]
     for i in a.keyroots:
-        _forest_pass(tables, i, columns)
+        i0 = twins_a.get(i)
+        if i0 is None:
+            _forest_pass(tables, i, columns)
+            continue
+        for gi in range(la[i], i + 1):
+            if la[gi] == la[i]:
+                treedist[gi][:] = treedist[gi - i + i0]
+    tables.cells = (sum(i - la[i] + 1 for i in a.keyroots if i not in twins_a)
+                    * sum(j - lb[j] + 1 for j in b.keyroots if j not in twins_b))
     tables.distance = treedist[a.n][b.n]
     return tables.distance, tables
 
@@ -340,19 +386,25 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
                  keep: bool = False) -> Optional[list[list[float]]]:
     """Forest tables for the subtree pairs anchored at (i, j), j in turn.
 
-    ``cols`` holds ``_columns(t, j)`` for each j.  The row data of i (for
-    each node gi of its subtree, in postorder: its delete cost, its
-    treedist row, its class's match-table row when gi lies on the
-    leftmost path of i, and the forest row left of its subtree) is read
-    once for all of them.  Each table is built row by row, each row left
-    to right.  A cell takes the cheapest of: delete (from above), insert
-    (from the left), and either a match, when both nodes lie on the
-    leftmost paths of i and j (diagonal plus the class match cost; the
-    cell is then a subtree distance and is written to treedist), or the
-    forest left of both subtrees plus their treedist.  The candidates
-    are compared in that order with strict ``<``, so the first minimum
-    wins, as with ``min``.  With ``keep`` the last table is returned for
-    backtracking.
+    ``cols`` holds ``_columns(t, j)`` for each j, or for a j whose subtree
+    equals that of an earlier j0 the pair (slice of j's subtree, slice of
+    j0's): its treedist cells on the leftmost path of i are then copied
+    from j0's, at the point where its own table would have been built,
+    since later tables read them.  (The other cells of those slices
+    already hold equal floats: they come from the tables of keyroots
+    inside the two subtrees, which are twins at the same offsets.)  The
+    row data of i (for each node gi of its subtree, in postorder: its
+    delete cost, its treedist row, its class's match-table row when gi
+    lies on the leftmost path of i, and the forest row left of its
+    subtree) is read once for all of them.  Each table is built row by
+    row, each row left to right.  A cell takes the cheapest of: delete
+    (from above), insert (from the left), and either a match, when both
+    nodes lie on the leftmost paths of i and j (diagonal plus the class
+    match cost; the cell is then a subtree distance and is written to
+    treedist), or the forest left of both subtrees plus their treedist.
+    The candidates are compared in that order with strict ``<``, so the
+    first minimum wins, as with ``min``.  With ``keep`` the last table is
+    returned for backtracking.
     """
     la = t.a.l
     li = la[i]
@@ -360,8 +412,15 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
     rows = [(t.del_costs[gi], t.treedist[gi],
              match_table[class_a[gi]] if la[gi] == li else None, la[gi] - li)
             for gi in range(li, i + 1)]
+    path_rows = [tdi for _, tdi, mrow, _ in rows if mrow is not None]
     fd: list[list[float]] = []
-    for row0, ins, prefix, on_path, classes, span, nodes in cols:
+    for col in cols:
+        if len(col) == 2:
+            dst, src = col
+            for tdi in path_rows:
+                tdi[dst] = tdi[src]
+            continue
+        row0, ins, prefix, on_path, classes, span, nodes = col
         fd = [row0]
         up_row = row0
         for dgi, tdi, mrow, fx in rows:
@@ -422,11 +481,19 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
     deletes: list[int] = []
     inserts: list[int] = []
 
-    def walk_tree(i: int, j: int) -> None:
-        fd = _forest_pass(tables, i, [_columns(tables, j)], keep=True)
+    # Subtree pairs still to walk, innermost last: (i, j, forest table,
+    # resume cell).  A decomposition suspends its pair at the forest left
+    # of both subtrees and walks the subtree pair first, as a recursive
+    # walk would, so the decisions come out in the same order.
+    stack: list[tuple[int, int, Optional[list[list[float]]], int, int]] = [
+        (a.root, b.root, None, 0, 0)]
+    while stack:
+        i, j, fd, x, y = stack.pop()
         ioff = a.l[i] - 1
         joff = b.l[j] - 1
-        x, y = i - ioff, j - joff
+        if fd is None:
+            fd = _forest_pass(tables, i, [_columns(tables, j)], keep=True)
+            x, y = i - ioff, j - joff
         while x > 0 or y > 0:
             gi, gj = x + ioff, y + joff
             if x > 0 and y > 0 and a.l[gi] == a.l[i] and b.l[gj] == b.l[j]:
@@ -445,8 +512,9 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
                 px = a.l[gi] - 1 - ioff
                 py = b.l[gj] - 1 - joff
                 if fd[x][y] == fd[px][py] + tables.treedist[gi][gj]:
-                    walk_tree(gi, gj)
-                    x, y = px, py
+                    stack.append((i, j, fd, px, py))
+                    stack.append((gi, gj, None, 0, 0))
+                    break
                 elif fd[x][y] == fd[x - 1][y] + tables.del_costs[gi]:
                     deletes.append(gi)
                     x -= 1
@@ -460,7 +528,6 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
                 inserts.append(y + joff)
                 y -= 1
 
-    walk_tree(a.root, b.root)
     groups = [GroupDecision(i, (), j, (), match_table[class_a[i]][class_b[j]])
               for i, j in matches]
     decisions = Decisions(groups=groups,

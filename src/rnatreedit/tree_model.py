@@ -122,13 +122,11 @@ class IndexedTree:
 
     def preorder(self) -> list[int]:
         order: list[int] = []
-
-        def visit(i: int) -> None:
+        stack = [self.n]
+        while stack:
+            i = stack.pop()
             order.append(i)
-            for c in self.children[i]:
-                visit(c)
-
-        visit(self.n)
+            stack.extend(reversed(self.children[i]))
         return order
 
 

@@ -208,7 +208,8 @@ class TestBatch:
 
 
 class TestInternalErrors:
-    """Invariant failures exit 4 with one line on stderr, never a traceback."""
+    """Invariant failures exit 4 (memory exhaustion 3) with one line on
+    stderr, never a traceback."""
 
     def _assert_internal(self, code, capsys, text):
         err = capsys.readouterr().err
@@ -233,3 +234,24 @@ class TestInternalErrors:
         a, b = split_files
         code = main(["compare", a, b, "--rep", "d", "--l", "1"])
         self._assert_internal(code, capsys, "fusion paths, budget 1")
+
+    def test_recursion_error(self, split_files, capsys, monkeypatch):
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "zs_distance", too_deep)
+        a, b = split_files
+        code = main(["compare", a, b, "--rep", "b", "--l", "0"])
+        self._assert_internal(code, capsys, "recursion limit reached")
+
+    def test_memory_error_is_exit_3(self, split_files, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "fusion_dp", exhausted)
+        a, b = split_files
+        code = main(["compare", a, b, "--rep", "d", "--l", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("out of memory: ")
+        assert err.count("\n") == 1

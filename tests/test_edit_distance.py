@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import time
 
 import pytest
@@ -194,19 +195,23 @@ class TestScript:
         assert len(outs) == 1
 
 
-def _path_tree(n):
-    root = node = TreeNode(Label("a"))
-    for _ in range(n - 1):
-        child = TreeNode(Label("a"))
+def _label(k, distinct):
+    return Label("a", (k,) if distinct else ())
+
+
+def _path_tree(n, distinct=False):
+    root = node = TreeNode(_label(0, distinct))
+    for k in range(1, n):
+        child = TreeNode(_label(k, distinct))
         node.add(child)
         node = child
     return index(LabeledTree(root))
 
 
-def _star_tree(n):
-    root = TreeNode(Label("a"))
-    for _ in range(n - 1):
-        root.add(TreeNode(Label("a")))
+def _star_tree(n, distinct=False):
+    root = TreeNode(_label(0, distinct))
+    for k in range(1, n):
+        root.add(TreeNode(_label(k, distinct)))
     return index(LabeledTree(root))
 
 
@@ -224,3 +229,100 @@ def test_complexity_reflects_min_leaf_height():
     t_star = time.perf_counter() - t0
     assert t_star < 5.0
     assert t_star < max(0.05, 25 * t_path)
+
+
+def _all_passes_cells(a, b):
+    """Forest cells of one pass per keyroot pair: sum |A_i| * sum |B_j|."""
+    rows = sum(i - a.l[i] + 1 for i in a.keyroots)
+    cols = sum(j - b.l[j] + 1 for j in b.keyroots)
+    return rows * cols
+
+
+def test_complexity_reflects_min_leaf_height_distinct_labels():
+    # the same shapes with a different label on every node: no two
+    # subtrees are equal, so the star runs one pass per keyroot pair,
+    # 198 * 198 of them on a single cell
+    m = unit_model()
+    path = _path_tree(200, distinct=True)
+    star = _star_tree(200, distinct=True)
+    t0 = time.perf_counter()
+    _, path_tables = zs_distance(path, path, m)
+    t_path = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    _, star_tables = zs_distance(star, star, m)
+    t_star = time.perf_counter() - t0
+    assert path_tables.cells == 200 * 200
+    assert star_tables.cells == (198 + 200) ** 2 == _all_passes_cells(star, star)
+    assert t_star < 5.0
+    assert t_star < max(0.05, 25 * t_path)
+
+
+class TestSubtreeSharing:
+    def test_cells_without_repeated_subtrees_are_all_passes(self, rng):
+        m = unit_model()
+        for _ in range(20):
+            trees = []
+            for _ in range(2):
+                t = random_tree(rng, rng.randint(1, 30), 3)
+                for k, node in enumerate(t.root.walk()):
+                    node.label = Label("n", (k,))
+                trees.append(index(t))
+            a, b = trees
+            _, tables = zs_distance(a, b, m)
+            assert tables.cells == _all_passes_cells(a, b)
+
+    def test_repeated_subtrees_fill_fewer_cells(self):
+        m = structural_model(t=0.05)
+        rng = random.Random(3)
+        for _ in range(5):
+            a = index(build(random_structure(rng, 120), "b"))
+            b = index(build(random_structure(rng, 120), "b"))
+            d, tables = zs_distance(a, b, m)
+            assert 0 < tables.cells < _all_passes_cells(a, b)
+            script, _ = extract_script(tables)
+            assert script.total_cost == d
+            assert trees_equal(replay_script(a, script).root, b.tree.root)
+
+    def test_single_label_star_runs_two_passes_per_side(self):
+        star = _star_tree(200)
+        _, tables = zs_distance(star, star, unit_model())
+        assert tables.cells == (1 + 200) ** 2
+
+
+def _comb(teeth):
+    """A right-nested comb: each spine node has a leaf, then the next
+    spine node, as children, so every spine node is a keyroot and the
+    tree is as deep as it has teeth."""
+    root = spine = TreeNode(Label("a"))
+    for _ in range(teeth):
+        nxt = TreeNode(Label("a"))
+        spine.add(TreeNode(Label("b")))
+        spine.add(nxt)
+        spine = nxt
+    return index(LabeledTree(root))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_comb_compares_and_extracts_under_low_recursion_limit():
+    # built at the default limit; compared and extracted with only a few
+    # frames to spare, fewer than the comb is deep
+    a, b = _comb(30), _comb(29)
+    m = unit_model()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 15)
+    try:
+        d, tables = zs_distance(a, b, m)
+        script, mapping = extract_script(tables)
+        order = a.preorder()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d == script.total_cost == 2.0
+    assert order[:3] == [a.n, 1, a.n - 1] and sorted(order) == list(range(1, a.n + 1))
+    assert validate_mapping(a, b, mapping)
+    assert trees_equal(replay_script(a, script).root, b.tree.root)

@@ -5,8 +5,9 @@ mapping of seeded pairs built from ``random_structure``.  The fusion
 records were made with the top-down memoised solver that the dense table
 replaced; the ZS records (``zs-...`` and ``fine-...``, which also hold a
 sha256 of the full subtree-distance table) with the per-cell ZS loop that
-the label-class kernel replaced.  Any change to either program must
-reproduce every record exactly.
+the label-class kernel replaced, except those of ``sharing_cases``, made
+with that kernel before twin subtrees shared their forest passes.  Any
+change to either program must reproduce every record exactly.
 
 Regenerate (only when a change of results is intended) with::
 
@@ -22,10 +23,10 @@ from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import extract_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
-from rnatreedit.generators import random_structure
+from rnatreedit.generators import random_structure, random_tree
 from rnatreedit.multilevel import ColoredRepB, coarse_pass, color_rep_b, fine_pass
 from rnatreedit.rna_structures import SecondaryStructure
-from rnatreedit.tree_model import build, index
+from rnatreedit.tree_model import Label, LabeledTree, TreeNode, build, index
 
 GOLDEN = Path(__file__).with_name("fusion_golden.json")
 
@@ -98,6 +99,64 @@ def zs_cases():
             a = color_rep_b(sa, colors.colors_a, colors.token)
             b = color_rep_b(sb, colors.colors_b, colors.token)
             yield f"fine-{k}-{name}", a, b, name, None
+    yield from sharing_cases()
+
+
+def complete_binary(depth: int) -> LabeledTree:
+    """A complete binary tree of ``depth`` levels, every node labelled ``a``."""
+    def grow(level: int) -> TreeNode:
+        kids = [grow(level + 1), grow(level + 1)] if level < depth else []
+        return TreeNode(Label("a"), children=kids)
+    return LabeledTree(grow(1))
+
+
+def hairpins(count: int, loop: str = "GAAA") -> SecondaryStructure:
+    """``count`` copies of one hairpin side by side, closed by a helix."""
+    unit = "GGC" + loop + "GCC"
+    seq = "G" + unit * count + "C"
+    width = len(unit)
+    pairs = [(0, len(seq) - 1)]
+    for k in range(count):
+        lo = 1 + k * width
+        pairs += [(lo, lo + width - 1), (lo + 1, lo + width - 2),
+                  (lo + 2, lo + width - 3)]
+    return SecondaryStructure(seq, tuple(sorted(pairs)))
+
+
+def distinct_labels(rng: random.Random, n: int, first: int) -> LabeledTree:
+    """A random tree whose node and edge labels are all different, so no
+    two of its subtrees are equal."""
+    tree = random_tree(rng, n, 3)
+    sizes = iter(range(first, first + 2 * n))
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        node.label = Label("h", (next(sizes),))
+        if node is not tree.root:
+            node.edge_label = Label("x", (next(sizes),))
+        stack.extend(node.children)
+    return tree
+
+
+def sharing_cases():
+    """ZS pairs at both ends of subtree sharing: trees made of repeated
+    subtrees (a tree against itself, one-label complete binary trees,
+    stacked per-base trees of repeated hairpins) and trees without any
+    repeated subtree."""
+    rng = random.Random(26)
+    self_tree = index(build(stacked(random_structure(rng, 40)), "b"))
+    binary_a, binary_b = index(complete_binary(6)), index(complete_binary(5))
+    rows = [("self", self_tree, self_tree), ("binary", binary_a, binary_b)]
+    for k, (count_a, count_b, loop_b) in enumerate(((4, 6, "GAAA"), (5, 5, "GCAA"))):
+        rows.append((f"hairpins-{k}",
+                     index(build(stacked(hairpins(count_a)), "b")),
+                     index(build(stacked(hairpins(count_b, loop_b)), "b"))))
+    for k in range(2):
+        rows.append((f"distinct-{k}", index(distinct_labels(rng, rng.randint(30, 50), 1)),
+                     index(distinct_labels(rng, rng.randint(30, 50), 3))))
+    for case, a, b in rows:
+        for name in MODELS:
+            yield f"zs-{case}-{name}", a, b, name, None
 
 
 def record(a, b, name, params) -> dict:
