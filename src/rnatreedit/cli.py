@@ -135,8 +135,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str],
         sys.stdout.write(rendered)
 
 
-def _mapping_dot(result: dict, colors_a: Optional[dict] = None,
-                 colors_b: Optional[dict] = None) -> str:
+def _mapping_dot(result: dict) -> str:
     ta, tb = result["a"], result["b"]
     da = to_dot(ta.tree, "A").splitlines()[1:-1]
     db = to_dot(tb.tree, "B").splitlines()[1:-1]
@@ -339,11 +338,9 @@ def run_verification(model: cost_models.CostModel, rng: random.Random,
     return failures
 
 
-_PALETTE = ["lightblue", "lightgreen", "lightsalmon", "gold", "plum",
-            "lightcyan", "wheat", "pink", "palegreen", "khaki"]
-
-
 def cmd_multilevel(args: argparse.Namespace) -> int:
+    if args.emit == "dot":
+        raise ConfigError("--emit dot is not available for multilevel; use text or json")
     model = _model_from_args(args)
     params = _fusion_params(args)
     a = _load_structure(args.inputs[0], args.format, args.pairing)

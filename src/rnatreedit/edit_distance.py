@@ -8,14 +8,16 @@ incoming edge are priced together as one object.
 Each tree's (node label, edge label) pairs are interned into label
 classes, and the model prices one class-by-class match table, one call
 per distinct pair of classes; the forest passes and the extraction read
-that table.  What a pass needs of T' (insert costs, prefix columns,
-leftmost-path flags, classes) is built once per keyroot of T', and what
-it needs of T (delete costs, treedist rows, match-table rows, forest
-rows) once per keyroot of T, so the inner loops only index lists.  A
-cell's candidates (delete, insert, then match or decomposition) are
-compared in that order with strict ``<``, so ties resolve as ``min``
-resolves them and the tables are the same floats, bit for bit, as a
-cell-by-cell ``min`` gives.
+that table.  Given node colors, a class is a label pair plus a color,
+and a class pair whose colors differ or are missing holds ``inf``
+without being priced, so its nodes never match.  What a pass needs of
+T' (insert costs, prefix columns, leftmost-path flags, classes) is built
+once per keyroot of T', and what it needs of T (delete costs, treedist
+rows, match-table rows, forest rows) once per keyroot of T, so the inner
+loops only index lists.  A cell's candidates (delete, insert, then match
+or decomposition) are compared in that order with strict ``<``, so ties
+resolve as ``min`` resolves them and the tables are the same floats, bit
+for bit, as a cell-by-cell ``min`` gives.
 
 A pass depends only on the labels and shapes of its two subtrees, and
 RNA trees repeat small subtrees (most keyroots of a per-base tree are
@@ -34,6 +36,7 @@ it needs (labels, adoption ranges, anchor ids).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -256,10 +259,11 @@ class DPTables:
     """Persistent subtree-distance table plus what backtracking needs.
 
     ``class_a``/``class_b`` give each node's label class (its distinct
-    (node label, edge label) pair) and ``match_table[ca][cb]`` the
-    relabel cost between two classes.  ``cells`` counts the forest-table
-    cells ``zs_distance`` filled, so the passes it left to twin subtrees
-    are not in it.
+    (node label, edge label) pair, plus its color when colors are given)
+    and ``match_table[ca][cb]`` the relabel cost between two classes:
+    ``inf``, never priced, for a pair whose colors differ or are missing.
+    ``cells`` counts the forest-table cells ``zs_distance`` filled, so
+    the passes it left to twin subtrees are not in it.
     """
 
     a: IndexedTree
@@ -289,16 +293,17 @@ def _warn_unvalidated(m: CostModel) -> None:
                       "the result may not be a distance", stacklevel=3)
 
 
-def _label_classes(t: IndexedTree) -> tuple[list[int], list[LabelPair]]:
-    """Class id per node (index 0 unused) and one pair per class.
+def _label_classes(t: IndexedTree, colors: list
+                   ) -> tuple[list[int], list[tuple[LabelPair, object]]]:
+    """Class id per node (index 0 unused) and one (pair, color) per class.
 
-    Nodes with equal (node label, edge label) pairs share a class; ids
-    follow first appearance in postorder.
+    Nodes with equal (node label, edge label) pairs and equal colors
+    share a class; ids follow first appearance in postorder.
     """
-    ids: dict[LabelPair, int] = {}
+    ids: dict[tuple[LabelPair, object], int] = {}
     cls = [0] * (t.n + 1)
     for i in range(1, t.n + 1):
-        cls[i] = ids.setdefault(t.pair(i), len(ids))
+        cls[i] = ids.setdefault((t.pair(i), colors[i]), len(ids))
     return cls, list(ids)
 
 
@@ -322,8 +327,16 @@ def _twins(t: IndexedTree, cls: list[int]) -> dict[int, int]:
     return twins
 
 
-def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DPTables]:
-    """Tree edit distance over the classical three operations."""
+def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel,
+                colors: Optional[tuple[list, list]] = None) -> tuple[float, DPTables]:
+    """Tree edit distance over the classical three operations.
+
+    ``colors``, if given, holds one color per postorder node of each
+    tree (index 0 unused), ``None`` for an uncolored node.  Two nodes
+    may then match only when their colors are equal and not ``None``;
+    every other class pair holds ``inf`` in the match table and is never
+    priced.
+    """
     _check_indexed(a)
     _check_indexed(b)
     _warn_unvalidated(m)
@@ -333,9 +346,11 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     ins2 = [0.0] * (b.n + 1)
     for j in range(1, b.n + 1):
         ins2[j] = m.cost_ins(b.pair(j))
-    class_a, pairs_a = _label_classes(a)
-    class_b, pairs_b = _label_classes(b)
-    match_table = [[m.cost_match(p, q) for q in pairs_b] for p in pairs_a]
+    color_a, color_b = colors or ([0] * (a.n + 1), [0] * (b.n + 1))
+    class_a, keys_a = _label_classes(a, color_a)
+    class_b, keys_b = _label_classes(b, color_b)
+    match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
+                    for q, d in keys_b] for p, c in keys_a]
     treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
     tables = DPTables(a, b, m, treedist, 0.0, del1, ins2,
                       class_a, class_b, match_table)

@@ -11,14 +11,12 @@ can no longer pair up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .cost_models import CostModel, LabelPair
-from .edit_distance import DPTables, Mapping, extract_script, zs_distance
+from .cost_models import CostModel
+from .edit_distance import DPTables, InternalError, Mapping, extract_script, zs_distance
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, decompose
-from .tree_model import (IndexedTree, Label, LabeledTree, TreeNode, build_rep_b,
-                         build_rep_c, build_rep_d, index)
+from .tree_model import IndexedTree, LabeledTree, build_rep_b, build_rep_c, build_rep_d, index
 
 
 class ColorSetMismatchError(ValueError):
@@ -37,7 +35,7 @@ class ColorAssignment:
 
 @dataclass
 class ColoredRepB:
-    """A per-base tree whose node labels carry the element color."""
+    """A per-base tree whose node origins carry the element color."""
 
     tree: LabeledTree
     token: tuple
@@ -101,85 +99,39 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
 
 def color_rep_b(s: SecondaryStructure, colors: dict[int, int],
                 token: tuple) -> ColoredRepB:
-    """Attach element colors to every node of the per-base tree."""
-    g = decompose(s)
-    owner = g.element_of_base()
+    """Record each node's element color in its origin: ``(origin, color)``."""
+    owner = decompose(s).element_of_base()
     tree = build_rep_b(s)
-
-    def paint(node: TreeNode) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         origin = node.origin
-        if origin and origin[0] == "base":
-            element = owner[origin[1]]
-        elif origin and origin[0] == "pair":
-            element = owner[origin[1]]
-        else:
-            element = 0
-        color = colors.get(element)
-        node.label = Label(node.label.kind, node.label.size + _color_tag(color))
-        node.origin = (origin, color)
-        for c in node.children:
-            paint(c)
-
-    paint(tree.root)
+        element = owner[origin[1]] if origin and origin[0] in ("base", "pair") else 0
+        node.origin = (origin, colors.get(element))
+        stack.extend(node.children)
     return ColoredRepB(tree, token)
-
-
-def _color_tag(color: Optional[int]) -> tuple[int, ...]:
-    # encoded into the label payload so cost models stay label-driven
-    return (-1,) if color is None else (color,)
-
-
-def _strip_color(pair: LabelPair) -> tuple[LabelPair, Optional[int]]:
-    node, edge = pair
-    if node is None:
-        return pair, None
-    color = node.size[-1]
-    base = Label(node.kind, node.size[:-1])
-    return (base, edge), (None if color < 0 else color)
-
-
-def color_restricted_model(base: CostModel, surrogate: float) -> CostModel:
-    """Wrap a model so differently colored (or uncolored) nodes never match."""
-
-    def match(a: LabelPair, b: LabelPair) -> float:
-        pa, ca = _strip_color(a)
-        pb, cb = _strip_color(b)
-        if ca is None or cb is None or ca != cb:
-            return surrogate
-        return base.match_fn(pa, pb)
-
-    def del_(a: LabelPair) -> float:
-        return base.del_fn(_strip_color(a)[0])
-
-    def ins(a: LabelPair) -> float:
-        return base.ins_fn(_strip_color(a)[0])
-
-    return CostModel(name=f"{base.name}+colors", t=base.t, cap=base.cap,
-                     match_fn=match, del_fn=del_, ins_fn=ins,
-                     params=base.params, assume_valid=True)
 
 
 def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
               m: CostModel) -> tuple[float, Mapping, DPTables]:
-    """Color-restricted per-base distance; only same-color nodes map."""
+    """Color-restricted per-base distance; only same-color nodes map.
+
+    The colors recorded in the node origins go to ``zs_distance`` as
+    label-class data, so a match across colors, or with an uncolored
+    node, is never priced.
+    """
     if a_colored.token != b_colored.token:
         raise ColorSetMismatchError(
             f"colorings come from different coarse passes: "
             f"{a_colored.token} vs {b_colored.token}")
     ta, tb = index(a_colored.tree), index(b_colored.tree)
-    # strictly larger than any full-deletion script, but finite
-    surrogate = 1.0 + sum(m.cost_del(_strip_color(ta.pair(i))[0])
-                          for i in range(1, ta.n + 1))
-    surrogate += sum(m.cost_ins(_strip_color(tb.pair(j))[0])
-                     for j in range(1, tb.n + 1))
-    wrapped = color_restricted_model(m, surrogate)
-    distance, tables = zs_distance(ta, tb, wrapped)
+    color_a = [None] + [ta.nodes[i].origin[1] for i in range(1, ta.n + 1)]
+    color_b = [None] + [tb.nodes[j].origin[1] for j in range(1, tb.n + 1)]
+    distance, tables = zs_distance(ta, tb, m, colors=(color_a, color_b))
     _, mapping = extract_script(tables)
     for i, j in mapping:
-        _, ca = _strip_color(ta.pair(i))
-        _, cb = _strip_color(tb.pair(j))
-        if ca is None or ca != cb:
-            raise AssertionError("optimal mapping crossed a color boundary")
+        if color_a[i] is None or color_a[i] != color_b[j]:
+            raise InternalError("optimal mapping crossed a color boundary")
     return distance, mapping, tables
 
 

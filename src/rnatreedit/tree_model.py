@@ -342,8 +342,7 @@ _DOT_SHAPES = {
 }
 
 
-def to_dot(t: LabeledTree, name: str = "tree",
-           colors: Optional[dict[int, str]] = None) -> str:
+def to_dot(t: LabeledTree, name: str = "tree") -> str:
     """Graphviz text; node shapes follow the element-kind conventions."""
     lines = [f"digraph {name} {{", "  node [fontsize=10];"]
     counter = 0
@@ -353,10 +352,7 @@ def to_dot(t: LabeledTree, name: str = "tree",
         nid = counter
         counter += 1
         shape = _DOT_SHAPES.get(node.label.kind, "ellipse")
-        attrs = [f'label="{node.label}"', f"shape={shape}"]
-        if colors and nid in colors:
-            attrs.append(f'style=filled fillcolor="{colors[nid]}"')
-        lines.append(f"  n{nid} [{' '.join(attrs)}];")
+        lines.append(f'  n{nid} [label="{node.label}" shape={shape}];')
         if parent_id is not None:
             edge = f' [label="{node.edge_label}"]' if node.edge_label else ""
             lines.append(f"  n{parent_id} -> n{nid}{edge};")

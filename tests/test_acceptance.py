@@ -364,7 +364,7 @@ def test_criterion_9_multilevel_restriction():
     assert result.fine_mapping
     for i, j in result.fine_mapping:
         # equal colors on every mapped pair
-        assert ta.labels[i].size[-1] == tb.labels[j].size[-1] >= 0
+        assert ta.nodes[i].origin[1] == tb.nodes[j].origin[1] is not None
         origin_a = ta.nodes[i].origin[0]
         origin_b = tb.nodes[j].origin[0]
         bases_a = set(origin_a[1:3]) if origin_a[0] in ("base", "pair") else set()

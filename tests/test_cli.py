@@ -189,6 +189,14 @@ class TestMultilevel:
         assert main(["multilevel", stem_file, stem_file,
                      "--coarse-rep", "d"]) == 0
 
+    def test_dot_emit_is_config_error(self, stem_file, capsys):
+        code = main(["multilevel", stem_file, stem_file, "--emit", "dot"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestBatch:
     def test_batch_pairs(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -130,6 +132,76 @@ class TestCostCalls:
                 assert isinstance(pair[0], Label)
                 assert pair[1] is None or isinstance(pair[1], Label)
             assert d == zs_distance(a, b, base)[0]
+
+
+class TestColors:
+    """With ``colors``, only nodes of equal, present colors may match."""
+
+    def test_equal_labels_with_different_colors_never_map(self):
+        t = index(LabeledTree(leafy("A", "B")))
+        d, tables = zs_distance(t, t, unit_model(), colors=([None, 1, 0], [None, 2, 0]))
+        assert extract_script(tables)[1] == {(2, 2)}
+        assert d == 2.0
+
+    def test_uncolored_nodes_never_map(self):
+        t = index(LabeledTree(leafy("A", "B")))
+        d, tables = zs_distance(t, t, unit_model(), colors=([None, None, 0], [None, None, 0]))
+        assert extract_script(tables)[1] == {(2, 2)}
+        assert d == 2.0
+        d, tables = zs_distance(t, t, unit_model(), colors=([None] * 3, [None] * 3))
+        assert extract_script(tables)[1] == set()
+        assert d == 4.0
+
+    def test_random_colors_restrict_and_replay(self, rng):
+        m = structural_model(t=0.05)
+        for _ in range(20):
+            a = index(random_tree(rng, rng.randint(1, 12), 3, NODE_LABELS, EDGE_LABELS))
+            b = index(random_tree(rng, rng.randint(1, 12), 3, NODE_LABELS, EDGE_LABELS))
+            colors = tuple([None] + [rng.choice((None, 0, 1)) for _ in range(t.n)]
+                           for t in (a, b))
+            d, tables = zs_distance(a, b, m, colors=colors)
+            script, mapping = extract_script(tables)
+            assert all(colors[0][i] is not None and colors[0][i] == colors[1][j]
+                       for i, j in mapping)
+            assert validate_mapping(a, b, mapping)
+            assert trees_equal(replay_script(a, script).root, b.tree.root)
+            assert script.total_cost == d >= zs_distance(a, b, m)[0]
+
+    def test_no_or_uniform_colors_give_the_plain_tables(self, rng):
+        m = structural_model(t=0.05)
+        a = index(build(random_structure(rng, 60), "b"))
+        b = index(build(random_structure(rng, 60), "b"))
+        _, plain = zs_distance(a, b, m)
+        for colors in (None, ([None] + [3] * a.n, [None] + [3] * b.n)):
+            _, tables = zs_distance(a, b, m, colors=colors)
+            assert tables.treedist == plain.treedist
+            assert tables.match_table == plain.match_table
+            assert (tables.class_a, tables.class_b, tables.cells) == (
+                plain.class_a, plain.class_b, plain.cells)
+
+    def test_match_priced_only_for_same_color_class_pairs(self, rng):
+        base = structural_model(t=0.05)
+        seen = []
+
+        def match(p, q):
+            seen.append((p, q))
+            return base.match_fn(p, q)
+
+        counting = dataclasses.replace(base, match_fn=match)
+        a = index(build(random_structure(rng, 60), "b"))
+        b = index(build(random_structure(rng, 60), "b"))
+        colors = tuple([None] + [rng.choice((None, 0, 1, 2)) for _ in range(t.n)]
+                       for t in (a, b))
+        _, tables = zs_distance(a, b, counting, colors=colors)
+        keys_a = {(a.pair(i), colors[0][i]) for i in range(1, a.n + 1)}
+        keys_b = {(b.pair(j), colors[1][j]) for j in range(1, b.n + 1)}
+        assert Counter(seen) == Counter((p, q) for p, c in keys_a for q, d in keys_b
+                                        if c is not None and c == d)
+        for i in range(1, a.n + 1):
+            for j in range(1, b.n + 1):
+                forbidden = colors[0][i] is None or colors[0][i] != colors[1][j]
+                cost = tables.match_table[tables.class_a[i]][tables.class_b[j]]
+                assert (cost == math.inf) == forbidden
 
 
 class TestScript:

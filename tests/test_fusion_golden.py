@@ -6,8 +6,11 @@ records were made with the top-down memoised solver that the dense table
 replaced; the ZS records (``zs-...`` and ``fine-...``, which also hold a
 sha256 of the full subtree-distance table) with the per-cell ZS loop that
 the label-class kernel replaced, except those of ``sharing_cases``, made
-with that kernel before twin subtrees shared their forest passes.  Any
-change to either program must reproduce every record exactly.
+with that kernel before twin subtrees shared their forest passes, and
+those of ``uncolored_fine_cases``, made when the fine pass still packed
+colors into labels and priced a cross-color match at a finite surrogate
+through a wrapped cost model.  Any change to either program must
+reproduce every record exactly.
 
 Regenerate (only when a change of results is intended) with::
 
@@ -25,7 +28,7 @@ from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
 from rnatreedit.generators import random_structure, random_tree
 from rnatreedit.multilevel import ColoredRepB, coarse_pass, color_rep_b, fine_pass
-from rnatreedit.rna_structures import SecondaryStructure
+from rnatreedit.rna_structures import SecondaryStructure, parse_dotbracket
 from rnatreedit.tree_model import Label, LabeledTree, TreeNode, build, index
 
 GOLDEN = Path(__file__).with_name("fusion_golden.json")
@@ -100,6 +103,7 @@ def zs_cases():
             b = color_rep_b(sb, colors.colors_b, colors.token)
             yield f"fine-{k}-{name}", a, b, name, None
     yield from sharing_cases()
+    yield from uncolored_fine_cases()
 
 
 def complete_binary(depth: int) -> LabeledTree:
@@ -159,6 +163,39 @@ def sharing_cases():
             yield f"zs-{case}-{name}", a, b, name, None
 
 
+def dotbracket(struct: str, name: str = "") -> SecondaryStructure:
+    """``struct`` with G/C pairs and A in loops."""
+    seq = "".join({"(": "G", ")": "C", ".": "A"}[c] for c in struct)
+    return parse_dotbracket(f">{name}\n{seq}\n{struct}" if name else f"{seq}\n{struct}")
+
+
+def with_hairpin(s: SecondaryStructure) -> SecondaryStructure:
+    """``s`` with one more stem-loop, ``(((....)))``, on its 3' side."""
+    n = len(s.sequence)
+    return SecondaryStructure(s.sequence + "GGGAAAACCC",
+                              s.pairs + ((n, n + 9), (n + 1, n + 8), (n + 2, n + 7)), s.id)
+
+
+def uncolored_fine_cases():
+    """Fine passes whose trees hold uncolored nodes (elements the coarse
+    pass deleted or inserted), which must never map.  ``arms`` is the
+    pair of acceptance criterion 9 (the ``CORE_A``/``CORE_B`` pair of the
+    multilevel tests): a shared arm plus one divergent hairpin per side,
+    on opposite flanks.  ``hairpin`` is a seeded pair of related
+    structures, the second with an extra stem-loop."""
+    small, big = "(((...)))", "((((((..(((((........)))))..))))))"
+    rng = random.Random(27)
+    base = stacked(random_structure(rng, 36))
+    rows = [("arms", dotbracket(small + big, "a"), dotbracket(big + small, "b")),
+            ("hairpin", variant(rng, base), with_hairpin(variant(rng, base)))]
+    for case, sa, sb in rows:
+        for name in MODELS:
+            _, colors = coarse_pass(sa, sb, "c", MODELS[name], FusionParams(cap=1))
+            a = color_rep_b(sa, colors.colors_a, colors.token)
+            b = color_rep_b(sb, colors.colors_b, colors.token)
+            yield f"fine-{case}-{name}", a, b, name, None
+
+
 def record(a, b, name, params) -> dict:
     if params is not None:
         distance, state = fusion_dp(a, b, MODELS[name], params)
@@ -185,6 +222,13 @@ def test_golden_records_bit_identical():
         got = json.loads(json.dumps(record(a, b, name, params)))
         assert got == expected[case], case
     assert sorted(seen) == sorted(expected)
+
+
+def test_uncolored_fine_cases_hold_uncolored_nodes():
+    for case, a, b, _, _ in uncolored_fine_cases():
+        uncolored = [i for t in (index(a.tree), index(b.tree))
+                     for i in range(1, t.n + 1) if t.nodes[i].origin[1] is None]
+        assert uncolored, case
 
 
 def test_table_is_full_product_of_closures_in_successor_order():

@@ -1,12 +1,14 @@
 import pytest
 
-from rnatreedit.cost_models import structural_model
-from rnatreedit.edit_distance import zs_distance
+from rnatreedit import multilevel
+from rnatreedit.cli import main
+from rnatreedit.cost_models import structural_model, unit_model
+from rnatreedit.edit_distance import InternalError, zs_distance
 from rnatreedit.fusion_distance import FusionParams
 from rnatreedit.multilevel import (ColorSetMismatchError, coarse_pass,
                                    color_rep_b, fine_pass, multilevel_compare)
-from rnatreedit.rna_structures import decompose, parse_dotbracket
-from rnatreedit.tree_model import build_rep_b, index
+from rnatreedit.rna_structures import decompose, emit_dotbracket, parse_dotbracket
+from rnatreedit.tree_model import build_rep_b, index, trees_equal
 
 
 def db(seq, struct, name=""):
@@ -73,6 +75,13 @@ class TestCoarsePass:
             coarse_pass(STEM, STEM, "b", MODEL, PARAMS)
 
 
+class TestColorRepB:
+    def test_labels_carry_no_color(self):
+        _, colors = coarse_pass(CORE_A, CORE_B, "c", MODEL, PARAMS)
+        colored = color_rep_b(CORE_A, colors.colors_a, colors.token).tree
+        assert trees_equal(colored.root, build_rep_b(CORE_A).root)
+
+
 class TestFinePass:
     def test_identical_structures_distance_zero(self):
         _, colors = coarse_pass(STEM, STEM, "c", MODEL, PARAMS)
@@ -89,8 +98,8 @@ class TestFinePass:
         tb = index(color_rep_b(CORE_B, result.colors.colors_b,
                                result.colors.token).tree)
         for i, j in result.fine_mapping:
-            assert ta.labels[i].size[-1] == tb.labels[j].size[-1]
-            assert ta.labels[i].size[-1] >= 0
+            assert ta.nodes[i].origin[1] == tb.nodes[j].origin[1]
+            assert ta.nodes[i].origin[1] is not None
 
     def test_divergent_hairpins_destroyed_and_never_map(self):
         result = multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
@@ -133,6 +142,34 @@ class TestFinePass:
         cb = color_rep_b(other, colors2.colors_b, colors2.token)
         with pytest.raises(ColorSetMismatchError):
             fine_pass(ca, cb, MODEL)
+
+    def test_unvalidated_model_warns(self):
+        _, colors = coarse_pass(STEM, STEM, "c", MODEL, PARAMS)
+        ca = color_rep_b(STEM, colors.colors_a, colors.token)
+        cb = color_rep_b(STEM, colors.colors_b, colors.token)
+        with pytest.warns(UserWarning, match="has not passed validation"):
+            fine_pass(ca, cb, unit_model(ins_scale=2.0))
+
+    def test_forced_crossing_exits_4(self, tmp_path, capsys, monkeypatch):
+        real = multilevel.extract_script
+
+        def crossing(tables):
+            # node 1 of CORE_A lies in its divergent hairpin: uncolored
+            script, mapping = real(tables)
+            return script, mapping | {(1, 1)}
+
+        monkeypatch.setattr(multilevel, "extract_script", crossing)
+        with pytest.raises(InternalError):
+            multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
+        paths = []
+        for s in (CORE_A, CORE_B):
+            path = tmp_path / f"{s.id}.db"
+            path.write_text(emit_dotbracket(s))
+            paths.append(str(path))
+        code = main(["multilevel", *paths])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "internal invariant failure: optimal mapping crossed a color boundary\n"
 
     def test_pipeline_deterministic(self):
         r1 = multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
