@@ -17,16 +17,15 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from . import cost_models, generators, multilevel, oracle
-from .edit_distance import (EditScript, InternalError, extract_script, replay_script,
-                            zs_distance)
+from . import cost_models
+from .edit_distance import InternalError, extract_script, replay_script, zs_distance
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, StructureError, parse_ct, parse_dotbracket
-from .tree_model import Label, build, index, to_dot, to_parenthesized
+from .tree_model import (IndexedTree, Label, build, index, to_dot, to_parenthesized,
+                         trees_equal)
 
 log = logging.getLogger("rnatreedit")
 
@@ -47,8 +46,15 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load_structure(path: str, fmt: str, pairing: str) -> SecondaryStructure:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if fmt == "auto":
         suffix = Path(path).suffix.lower()
         if suffix == ".ct":
@@ -75,7 +81,7 @@ def _model_from_args(args: argparse.Namespace) -> cost_models.CostModel:
     path = Path(name)
     if not path.exists():
         raise ConfigError(f"unknown model {name!r}: not a named model or a file")
-    model = cost_models.parse_model_config(path.read_text())
+    model = cost_models.parse_model_config(_read_text(name))
     if args.t is not None:
         model = model.with_t(args.t)
     return model
@@ -87,24 +93,49 @@ def _fusion_params(args: argparse.Namespace) -> FusionParams:
     return FusionParams(cap=args.l, prune=not args.no_prune)
 
 
+def _failure(exc: Exception) -> Optional[tuple[int, str]]:
+    """Exit code and one-line message of an error the CLI reports, else None."""
+    if isinstance(exc, StructureError):
+        code, message = EXIT_PARSE, f"parse error: {exc}"
+    elif isinstance(exc, MemoryError):
+        code, message = EXIT_CONFIG, ("out of memory: the comparison needs more memory "
+                                      "than is available")
+    elif isinstance(exc, ValueError):  # ConfigError and InvalidTError among them
+        code, message = EXIT_CONFIG, f"configuration error: {exc}"
+    elif isinstance(exc, RecursionError):
+        code, message = EXIT_INTERNAL, f"internal invariant failure: recursion limit reached: {exc}"
+    elif isinstance(exc, (InternalError, AssertionError)):
+        code, message = EXIT_INTERNAL, f"internal invariant failure: {exc}"
+    else:
+        return None
+    return code, " ".join(message.split())
+
+
 def _compare_pair(a: SecondaryStructure, b: SecondaryStructure,
                   rep: str, model: cost_models.CostModel,
                   params: FusionParams) -> dict:
-    ta, tb = index(build(a, rep)), index(build(b, rep))
+    return _compare_trees(index(build(a, rep)), index(build(b, rep)), model, params)
+
+
+def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostModel,
+                   params: FusionParams, sides: Optional[dict] = None) -> dict:
+    """Distance, script and mapping of one pair, with the replay audit.
+
+    ``sides`` is a batch run's fusion side cache (see ``fusion_dp``).
+    """
     started = time.perf_counter()
     if params.cap == 0:
         distance, tables = zs_distance(ta, tb, model)
         script, pairs = extract_script(tables)
         mapping = [([i], [j]) for i, j in sorted(pairs)]
     else:
-        distance, state = fusion_dp(ta, tb, model, params)
+        distance, state = fusion_dp(ta, tb, model, params, sides)
         script, groups = extract_fusion_script(state)
         mapping = [(list(g[0]), list(g[1])) for g in sorted(groups)]
     elapsed = time.perf_counter() - started
     replayed = replay_script(ta, script)
-    from .tree_model import trees_equal
     if not trees_equal(replayed.root, tb.tree.root) or script.total_cost != distance:
-        raise AssertionError("script replay failed to reproduce the target tree")
+        raise InternalError("script replay failed to reproduce the target tree")
     return {
         "a": ta, "b": tb, "distance": distance, "script": script,
         "mapping": mapping, "elapsed": elapsed,
@@ -183,37 +214,81 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_batch(args: argparse.Namespace) -> int:
-    model = _model_from_args(args)
-    params = _fusion_params(args)
     pairs = []
-    for line_no, line in enumerate(Path(args.pairs_file).read_text().splitlines(), 1):
+    for line_no, line in enumerate(_read_text(args.pairs_file).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ConfigError(f"pairs file line {line_no}: expected two paths")
         pairs.append((parts[0], parts[1]))
-    jobs = max(1, args.jobs)
-    work = [(pa, pb, args.format, args.pairing, args.rep, args.model,
-             args.t, args.l, args.no_prune) for pa, pb in pairs]
-    if jobs == 1:
-        results = [_batch_one(w) for w in work]
+    jobs = min(max(1, args.jobs), len(pairs))
+    if jobs <= 1:
+        results = _run_batch(args, pairs)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_one, work))
-    for (pa, pb), distance in zip(pairs, results):
-        print(f"{pa}\t{pb}\t{distance!r}")
-    return EXIT_OK
+        from concurrent.futures import ProcessPoolExecutor
+        n = len(pairs)
+        chunks = [pairs[k * n // jobs:(k + 1) * n // jobs] for k in range(jobs)]
+        with ProcessPoolExecutor(jobs) as pool:
+            results = [r for chunk in pool.map(_run_batch, [args] * jobs, chunks)
+                       for r in chunk]
+    worst = EXIT_OK
+    for (pa, pb), (code, text) in zip(pairs, results):
+        print(f"{pa}\t{pb}\t{text}")
+        worst = max(worst, code)
+    return worst
 
 
-def _batch_one(work: tuple) -> float:
-    pa, pb, fmt, pairing, rep, model_name, t, l, no_prune = work
-    ns = argparse.Namespace(model=model_name, t=t, l=l, no_prune=no_prune)
-    model = _model_from_args(ns)
-    params = _fusion_params(ns)
-    a = _load_structure(pa, fmt, pairing)
-    b = _load_structure(pb, fmt, pairing)
-    return _compare_pair(a, b, rep, model, params)["distance"]
+def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
+               ) -> list[tuple[int, str]]:
+    """The compare-batch engine, for the whole run or one worker's chunk:
+    per pair in order, (0, repr of the distance) or a failure as
+    (exit code, ``error<TAB><code>: <reason>``).
+
+    The model and params are built once.  Each distinct path is loaded,
+    built and indexed once; a load that fails is kept as its exception,
+    so the file is read once too.  At a fusion cap each tree's sides live
+    in ``fusion_dp``'s side cache, one per role.  A tree and its sides
+    are dropped after the last pair that names them, so memory follows
+    the structures still to come.
+    """
+    model, params = _model_from_args(args), _fusion_params(args)
+    last: dict = {}
+    for k, (pa, pb) in enumerate(pairs):
+        last[pa] = last[pb] = last[pa, True] = last[pb, False] = k
+    trees: dict = {}
+    sides: dict = {}
+    results = []
+
+    def tree(path: str) -> IndexedTree:
+        if path not in trees:
+            try:
+                trees[path] = index(build(_load_structure(path, args.format, args.pairing),
+                                          args.rep))
+            except Exception as exc:
+                trees[path] = exc
+        found = trees[path]
+        if isinstance(found, Exception):
+            raise found.with_traceback(None)
+        return found
+
+    for k, (pa, pb) in enumerate(pairs):
+        try:
+            result = EXIT_OK, repr(_compare_trees(tree(pa), tree(pb), model, params,
+                                                  sides)["distance"])
+        except Exception as exc:
+            failure = _failure(exc)
+            if failure is None:
+                raise
+            result = failure[0], f"error\t{failure[0]}: {failure[1]}"
+        for path, left in ((pa, True), (pb, False)):
+            if last[path, left] == k:
+                sides.pop((id(trees.get(path)), left), None)
+        for path in (pa, pb):
+            if last[path] == k:
+                trees.pop(path, None)
+        results.append(result)
+    return results
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -251,6 +326,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
     if args.max_nodes > oracle.MAX_ORACLE_NODES:
         raise ConfigError(
             f"--max-nodes above the oracle budget ({oracle.MAX_ORACLE_NODES})")
@@ -269,6 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def run_verification(model: cost_models.CostModel, rng: random.Random,
                      exhaustive_max: int = 5, samples: int = 200) -> list[str]:
     """Oracle cross-checks and the metric sampler; returns failure notes."""
+    from . import generators, oracle
     failures: list[str] = []
     alphabet = [Label("a"), Label("b")]
     indexed = []
@@ -341,6 +418,7 @@ def run_verification(model: cost_models.CostModel, rng: random.Random,
 def cmd_multilevel(args: argparse.Namespace) -> int:
     if args.emit == "dot":
         raise ConfigError("--emit dot is not available for multilevel; use text or json")
+    from . import multilevel
     model = _model_from_args(args)
     params = _fusion_params(args)
     a = _load_structure(args.inputs[0], args.format, args.pairing)
@@ -382,12 +460,13 @@ def _add_common(p: argparse.ArgumentParser, inputs: int = 2) -> None:
     p.add_argument("--strict-pairs", dest="pairing", action="store_const",
                    const="strict", default="wobble",
                    help="reject wobble pairs on input")
+    p.add_argument("--seed", type=int, default=None, help="seed for sampling")
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", choices=["text", "json", "dot"], default="text",
                    help="output format")
     p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampling")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (batch mode only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,11 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="distance between two structures")
     _add_common(p, inputs=2)
+    _add_output(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("compare-batch", help="compare many pairs from a file")
     p.add_argument("pairs_file", help="file with two structure paths per line")
     _add_common(p, inputs=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, each running a contiguous chunk of the pairs")
     p.set_defaults(func=cmd_compare_batch)
 
     p = sub.add_parser("stats", help="encoding statistics for one structure")
@@ -423,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multilevel", help="two-pass colored comparison")
     _add_common(p, inputs=2)
+    _add_output(p)
     p.add_argument("--coarse-rep", choices=["c", "d"], default="c",
                    help="representation for the coarse pass")
     p.set_defaults(func=cmd_multilevel)
@@ -438,23 +521,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except StructureError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, cost_models.InvalidTError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError:
-        print("out of memory: the comparison needs more memory than is available",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except RecursionError as exc:
-        print(f"internal invariant failure: recursion limit reached: {exc}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InternalError, AssertionError) as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        code, message = failure
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

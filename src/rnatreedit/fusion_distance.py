@@ -122,6 +122,12 @@ class _Side:
       state whose path is shorter than the cap, as (cost, resulting id);
     - ``merged[s]``: the merged root label of a tree state, else None;
     - ``remove_all[s]``: the price of removing the whole state.
+
+    A B side also numbers its merged labels as classes (``label_of[s]``,
+    -1 for a forest) and keeps ``match_rows``: per merged label of an A
+    state, the match price against each class, priced with the side's
+    model on first use.  Every pair compared against this side reuses
+    them.
     """
 
     def __init__(self, tree: IndexedTree, model: CostModel, left: bool,
@@ -149,6 +155,14 @@ class _Side:
         self.merged: list[Optional[LabelPair]] = [None]
         self.remove_all: list[float] = [0.0]
         self._close(params.cap, params.prune)
+        if not left:
+            classes: dict[LabelPair, int] = {}
+            for pair in self.merged:
+                if pair is not None:
+                    classes.setdefault(pair, len(classes))
+            self.label_pairs = list(classes)
+            self.label_of = [classes.get(pair, -1) for pair in self.merged]
+            self.match_rows: dict[LabelPair, list[float]] = {}
 
     def info(self, r: int, path: FusionPath) -> MergedNodeState:
         key = (r, path)
@@ -317,18 +331,39 @@ class FusionDPState:
 
 
 def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
-              p: FusionParams = FusionParams()) -> tuple[float, FusionDPState]:
-    """Distance over all seven operations with fusion paths capped at p.cap."""
+              p: FusionParams = FusionParams(),
+              sides: Optional[dict] = None) -> tuple[float, FusionDPState]:
+    """Distance over all seven operations with fusion paths capped at p.cap.
+
+    ``sides`` is an optional cache owned by the caller.  It belongs to one
+    model and one params, which every call sharing it must pass.  It keeps
+    each tree's side per role under ``(id(tree), left)``, so a tree compared
+    again is neither closed nor budget-checked again, and a B side keeps
+    the match rows priced against it.  An entry holds its tree, so the id
+    cannot be reused while the entry lives; the caller drops the entries
+    it no longer needs.
+    """
     _warn_unvalidated(m)
     state = FusionDPState(a, b, m, p)
-    state.side_a = _Side(a, m, True, p)
-    state.side_b = _Side(b, m, False, p)
-    for side in (state.side_a, state.side_b):
-        _check_path_budget(side, p.cap)
-    state.memo, state.choice = _fill(state.side_a, state.side_b, m)
+    state.side_a = _side(a, m, True, p, sides)
+    state.side_b = _side(b, m, False, p, sides)
+    state.memo, state.choice = _fill(state.side_a, state.side_b)
     # Both roots are numbered last, so the root pair is the last cell.
     state.distance = state.memo[-1]
     return state.distance, state
+
+
+def _side(tree: IndexedTree, m: CostModel, left: bool, p: FusionParams,
+          sides: Optional[dict]) -> _Side:
+    """The tree's side in one role, taken from ``sides`` when it is there."""
+    key = (id(tree), left)
+    side = sides.get(key) if sides is not None else None
+    if side is None:
+        side = _Side(tree, m, left, p)
+        _check_path_budget(side, p.cap)
+        if sides is not None:
+            sides[key] = side
+    return side
 
 
 def _check_path_budget(side: _Side, cap: int) -> None:
@@ -341,7 +376,7 @@ def _check_path_budget(side: _Side, cap: int) -> None:
                 f"root {r}: {n_paths} fusion paths, budget {budget}")
 
 
-def _fill(sa: _Side, sb: _Side, m: CostModel) -> tuple[array, array]:
+def _fill(sa: _Side, sb: _Side) -> tuple[array, array]:
     """Fill the pair table bottom-up, row by row in A's state order.
 
     Every cell evaluates its recurrence lines in a fixed order and keeps
@@ -356,6 +391,7 @@ def _fill(sa: _Side, sb: _Side, m: CostModel) -> tuple[array, array]:
        splits, in ``_Side.moves`` order.
 
     Row 0 and column 0 hold the price of removing the other side whole.
+    Match prices come from the B side's match rows (see ``_Side``).
     """
     na, nb = len(sa.states), len(sb.states)
     most = 3 + max(map(len, sa.moves)) + max(map(len, sb.moves))
@@ -363,12 +399,8 @@ def _fill(sa: _Side, sb: _Side, m: CostModel) -> tuple[array, array]:
     table = array("d", [0.0]) * (na * nb)
     choice = array(code, [0]) * (na * nb)
     table[:nb] = array("d", sb.remove_all)
-    labels_b: dict[LabelPair, int] = {}
-    for pair in sb.merged:
-        if pair is not None and pair not in labels_b:
-            labels_b[pair] = len(labels_b)
-    label_b = [labels_b.get(pair, -1) for pair in sb.merged]
-    match_rows: dict[LabelPair, list[float]] = {}
+    label_b, label_pairs, match_rows = sb.label_of, sb.label_pairs, sb.match_rows
+    cost_match = sb.model.cost_match
     tree_b, left_b, right_b = sb.is_tree, sb.left_part, sb.right_part
     rest_b, rcost_b, moves_b = sb.rest, sb.rcost, sb.moves
     for i in range(1, na):
@@ -383,7 +415,7 @@ def _fill(sa: _Side, sb: _Side, m: CostModel) -> tuple[array, array]:
             merged = sa.merged[i]
             match_row = match_rows.get(merged)
             if match_row is None:
-                match_row = [m.cost_match(merged, pb) for pb in labels_b]
+                match_row = [cost_match(merged, pb) for pb in label_pairs]
                 match_rows[merged] = match_row
             moves_a = [(cost, child * nb) for cost, child in sa.moves[i]]
         for j in range(1, nb):

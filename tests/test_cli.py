@@ -1,14 +1,21 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import rnatreedit
 from rnatreedit import cli, fusion_distance
 from rnatreedit.cli import main
 from rnatreedit.edit_distance import EditScript, replay_script
 from rnatreedit.generators import random_structure
 from rnatreedit.rna_structures import emit_ct, emit_dotbracket
-from rnatreedit.tree_model import build, index, trees_equal
+from rnatreedit.tree_model import build, index, to_parenthesized, trees_equal
 
 
 @pytest.fixture
@@ -62,6 +69,13 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 3" in err
+
+    def test_unreadable_file_is_config_error(self, stem_file, tmp_path, capsys):
+        code = main(["compare", stem_file, str(tmp_path / "missing.db")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("configuration error: cannot read ")
+        assert err.count("\n") == 1
 
     def test_json_output_is_byte_identical(self, split_files, tmp_path):
         a, b = split_files
@@ -198,7 +212,163 @@ class TestMultilevel:
         assert captured.err.count("\n") == 1
 
 
+@pytest.fixture
+def batch(tmp_path):
+    """Four structures (dot-bracket and CT) and a pairs file holding every
+    ordered pair of distinct ones: each structure is A in three pairs and
+    B in three."""
+    rng = random.Random(17)
+    paths = []
+    for i in range(4):
+        s = random_structure(rng, 36 + 4 * i, name=f"s{i}")
+        p = tmp_path / (f"s{i}.ct" if i % 2 else f"s{i}.db")
+        p.write_text(emit_ct(s) if i % 2 else emit_dotbracket(s))
+        paths.append(str(p))
+    pairs = [(a, b) for a in paths for b in paths if a != b]
+    pairs_file = tmp_path / "pairs.txt"
+    pairs_file.write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+    return paths, str(pairs_file), pairs
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Calls of ``cli._load_structure`` per path."""
+    counts = Counter()
+    load = cli._load_structure
+
+    def counted(path, fmt, pairing):
+        counts[path] += 1
+        return load(path, fmt, pairing)
+
+    monkeypatch.setattr(cli, "_load_structure", counted)
+    return counts
+
+
+def _batch_lines(capsys, argv):
+    code = main(["compare-batch"] + argv)
+    return code, capsys.readouterr().out.splitlines()
+
+
 class TestBatch:
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_prints_the_distances_of_compare(self, batch, capsys, cap):
+        _, pairs_file, pairs = batch
+        code, lines = _batch_lines(capsys, [pairs_file, "--l", cap])
+        assert code == 0
+        expected = []
+        for a, b in pairs:
+            assert main(["compare", a, b, "--l", cap]) == 0
+            distance = capsys.readouterr().out.splitlines()[0]
+            expected.append(f"{a}\t{b}\t{distance.removeprefix('distance: ')}")
+        assert lines == expected
+
+    def test_jobs_give_identical_output(self, batch, capsys):
+        _, pairs_file, _ = batch
+        one = _batch_lines(capsys, [pairs_file, "--jobs", "1"])
+        two = _batch_lines(capsys, [pairs_file, "--jobs", "2"])
+        assert one == two and one[0] == 0 and len(one[1]) == 12
+
+    def test_side_built_once_per_structure_and_role(self, batch, capsys, monkeypatch):
+        built = []
+
+        class Counted(fusion_distance._Side):
+            def __init__(self, tree, model, left, params):
+                built.append((tree, left))
+                super().__init__(tree, model, left, params)
+
+        monkeypatch.setattr(fusion_distance, "_Side", Counted)
+        paths, pairs_file, _ = batch
+        code, _ = _batch_lines(capsys, [pairs_file, "--l", "1"])
+        assert code == 0
+        assert len({id(tree) for tree, _ in built}) == len(paths)
+        assert Counter((id(tree), left) for tree, left in built) == Counter(
+            {(id(tree), left): 1 for tree, left in built})
+        assert len(built) == 2 * len(paths)
+
+    def test_each_file_loaded_once(self, batch, capsys, loads):
+        paths, pairs_file, _ = batch
+        assert _batch_lines(capsys, [pairs_file])[0] == 0
+        assert loads == Counter(dict.fromkeys(paths, 1))
+
+    def test_side_released_after_last_pair(self, batch, capsys, monkeypatch):
+        paths, pairs_file, pairs = batch
+        key = {to_parenthesized(index(build(cli._load_structure(p, "auto", "wobble"),
+                                            "d")).tree): p for p in paths}
+        assert len(key) == len(paths)
+        last = {}
+        for k, (a, b) in enumerate(pairs):
+            last[a, True] = last[b, False] = k
+        sides = []
+
+        class Watched(fusion_distance._Side):
+            def __init__(self, tree, model, left, params):
+                super().__init__(tree, model, left, params)
+                sides.append(((key[to_parenthesized(tree.tree)], left), weakref.ref(self)))
+
+        calls = []
+        dp = fusion_distance.fusion_dp
+
+        def watching(*args):
+            calls.append({owner for owner, ref in sides if ref() is not None})
+            return dp(*args)
+
+        monkeypatch.setattr(fusion_distance, "_Side", Watched)
+        monkeypatch.setattr(cli, "fusion_dp", watching)
+        assert _batch_lines(capsys, [pairs_file, "--l", "1"])[0] == 0
+        assert len(calls) == len(pairs)
+        for k, alive in enumerate(calls):
+            assert all(last[owner] >= k for owner in alive)
+        # the first structure's A side is used by pairs 0-2 only
+        assert (paths[0], True) in calls[2] and (paths[0], True) not in calls[3]
+
+    def test_failed_pairs_get_status_lines(self, batch, tmp_path, capsys, loads):
+        paths, _, _ = batch
+        bad = tmp_path / "bad.db"
+        bad.write_text(">x\nGGAA\n((..\n")
+        missing = tmp_path / "missing.db"
+        pairs = [(paths[0], paths[1]), (str(bad), paths[1]), (paths[1], str(bad)),
+                 (paths[1], str(missing)), (paths[1], paths[0])]
+        pairs_file = tmp_path / "mixed.txt"
+        pairs_file.write_text("".join(f"{a} {b}\n" for a, b in pairs))
+        code, lines = _batch_lines(capsys, [str(pairs_file)])
+        assert code == 3
+        assert len(lines) == 5
+        fields = [line.split("\t") for line in lines]
+        assert [f[:2] for f in fields] == [list(p) for p in pairs]
+        assert float(fields[0][2]) >= 0 and float(fields[4][2]) >= 0
+        for f in fields[1:3]:
+            assert f[2] == "error" and f[3].startswith("2: parse error: ") and "line 3" in f[3]
+        assert fields[3][2] == "error"
+        assert fields[3][3].startswith("3: configuration error: cannot read ")
+        assert all(len(f) == 4 for f in fields[1:4])
+        assert loads[str(bad)] == loads[str(missing)] == 1
+
+    def test_internal_error_is_one_pair(self, batch, capsys, monkeypatch):
+        paths, pairs_file, pairs = batch
+        replay = cli.replay_script
+        calls = []
+
+        def broken(ta, script):
+            calls.append(None)
+            return ta.tree if len(calls) == 2 else replay(ta, script)
+
+        monkeypatch.setattr(cli, "replay_script", broken)
+        code, lines = _batch_lines(capsys, [pairs_file])
+        assert code == 4
+        assert len(lines) == len(pairs)
+        assert [line.split("\t")[2] == "error" for line in lines] == [
+            k == 1 for k in range(len(pairs))]
+        assert lines[1].split("\t")[3].startswith("4: internal invariant failure: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_configuration_error_stops_the_run(self, batch, capsys, jobs):
+        _, pairs_file, _ = batch
+        code = main(["compare-batch", pairs_file, "--l", "5", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "configuration error: l must be in [0, 3]\n"
+
     def test_batch_pairs(self, tmp_path, capsys):
         rng = random.Random(3)
         paths = []
@@ -263,3 +433,65 @@ class TestInternalErrors:
         assert code == 3
         assert err.startswith("out of memory: ")
         assert err.count("\n") == 1
+
+
+class TestReplayAudit:
+    def test_failed_replay_is_internal_error(self, split_files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "replay_script", lambda ta, script: ta.tree)
+        a, b = split_files
+        code = main(["compare", a, b, "--rep", "d", "--l", "1"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal invariant failure: script replay")
+        assert err.count("\n") == 1
+
+
+class TestOptions:
+    """Each command takes only the options it uses."""
+
+    @pytest.mark.parametrize("argv", [["stats", "{s}"], ["validate"], ["verify"],
+                                      ["compare-batch", "{s}"]])
+    def test_emit_and_out_refused(self, argv, stem_file, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        argv = [x.format(s=stem_file) for x in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--emit", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["compare", "{s}", "{s}"], ["multilevel", "{s}", "{s}"],
+                                      ["stats", "{s}"]])
+    def test_jobs_refused(self, argv, stem_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([x.format(s=stem_file) for x in argv] + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_only_what_compare_batch_runs():
+    """`import rnatreedit.cli` leaves the process pool, the oracles, the
+    generators and multilevel unloaded; the package exports still resolve
+    and are listed by dir() and ``import *``."""
+    code = """
+import sys
+import rnatreedit.cli
+print(sorted(m for m in ("concurrent.futures.process", "rnatreedit.oracle",
+                         "rnatreedit.multilevel", "rnatreedit.generators")
+             if m in sys.modules))
+import rnatreedit
+lazy = ("multilevel_compare", "coarse_pass", "mapping_oracle", "SearchBudget")
+print(all(name in dir(rnatreedit) and name in rnatreedit.__all__ for name in lazy))
+from rnatreedit import SearchBudget
+print(rnatreedit.mapping_oracle.__module__, rnatreedit.multilevel_compare.__module__,
+      SearchBudget.__module__)
+namespace = {}
+exec("from rnatreedit import *", namespace)
+print(all(name in namespace for name in lazy + ("fusion_dp", "build")))
+"""
+    src = str(Path(rnatreedit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == [
+        "[]", "True", "rnatreedit.oracle rnatreedit.multilevel rnatreedit.oracle", "True"]
