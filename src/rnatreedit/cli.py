@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import cost_models
 from .edit_distance import InternalError, extract_script, replay_script, zs_distance
-from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
+from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp, path_count_bound
 from .rna_structures import SecondaryStructure, StructureError, parse_ct, parse_dotbracket
 from .tree_model import (IndexedTree, Label, build, index, to_dot, to_parenthesized,
                          trees_equal)
@@ -87,10 +87,14 @@ def _model_from_args(args: argparse.Namespace) -> cost_models.CostModel:
     return model
 
 
-def _fusion_params(args: argparse.Namespace) -> FusionParams:
+def _cap(args: argparse.Namespace) -> int:
     if not (0 <= args.l <= 3):
         raise ConfigError("l must be in [0, 3]")
-    return FusionParams(cap=args.l, prune=not args.no_prune)
+    return args.l
+
+
+def _fusion_params(args: argparse.Namespace) -> FusionParams:
+    return FusionParams(cap=_cap(args), prune=not args.no_prune)
 
 
 def _failure(exc: Exception) -> Optional[tuple[int, str]]:
@@ -145,10 +149,8 @@ def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostMode
 def _meta(args: argparse.Namespace, model: cost_models.CostModel,
           inputs: list[str]) -> dict:
     meta = {"inputs": inputs, "rep": args.rep, "l": args.l,
-            "prune": not args.no_prune, "format": args.format}
+            "prune": not args.no_prune, "format": args.format, "seed": args.seed}
     meta.update(model.describe())
-    if getattr(args, "seed", None) is not None:
-        meta["seed"] = args.seed
     return meta
 
 
@@ -292,16 +294,15 @@ def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    cap = _cap(args)
     s = _load_structure(args.inputs[0], args.format, args.pairing)
     lines = [f"structure: {s.id or args.inputs[0]} length={s.length} pairs={len(s.pairs)}"]
     for rep in "bcde":
         t = index(build(s, rep))
-        d = max(2, t.max_degree)
-        from .fusion_distance import path_count_bound
-        bound = path_count_bound(d, args.l)
+        bound = path_count_bound(max(2, t.max_degree), cap)
         lines.append(f"rep {rep}: nodes={t.n} leaves={t.leaf_count} "
                      f"height={t.height} max_degree={t.max_degree} "
-                     f"path_bound(l={args.l})={bound}")
+                     f"path_bound(l={cap})={bound}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -444,23 +445,39 @@ def cmd_multilevel(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, inputs: int = 2) -> None:
+def _add_input(p: argparse.ArgumentParser, inputs: int) -> None:
     if inputs:
         p.add_argument("inputs", nargs=inputs, help="structure file(s)")
     p.add_argument("--format", choices=["auto", "dotbracket", "ct"],
                    default="auto", help="input format")
-    p.add_argument("--rep", choices=list("bcde"), default="d",
-                   help="tree representation")
-    p.add_argument("--model", default="structural",
-                   help="cost model name (unit|structural) or config file")
-    p.add_argument("--t", type=float, default=None, help="fusion tuning parameter")
-    p.add_argument("--l", type=int, default=1, help="consecutive fusion cap (0-3)")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable the node-then-edge fusion pruning rule")
     p.add_argument("--strict-pairs", dest="pairing", action="store_const",
                    const="strict", default="wobble",
                    help="reject wobble pairs on input")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampling")
+
+
+def _add_model(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", default="structural",
+                   help="cost model name (unit|structural) or config file")
+    p.add_argument("--t", type=float, default=None, help="fusion tuning parameter")
+
+
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--l", type=int, default=1, help="consecutive fusion cap (0-3)")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="seed for sampling")
+
+
+def _add_common(p: argparse.ArgumentParser, inputs: int = 2) -> None:
+    """The options of the commands that compare structures."""
+    _add_input(p, inputs)
+    p.add_argument("--rep", choices=list("bcde"), default="d",
+                   help="tree representation")
+    _add_model(p)
+    _add_cap(p)
+    p.add_argument("--no-prune", action="store_true",
+                   help="disable the node-then-edge fusion pruning rule")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -477,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="distance between two structures")
     _add_common(p, inputs=2)
+    _add_seed(p)
     _add_output(p)
     p.set_defaults(func=cmd_compare)
 
@@ -488,15 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare_batch)
 
     p = sub.add_parser("stats", help="encoding statistics for one structure")
-    _add_common(p, inputs=1)
+    _add_input(p, inputs=1)
+    _add_cap(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("validate", help="check cost model distance conditions")
-    _add_common(p, inputs=0)
+    _add_model(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="run oracle cross-checks")
-    _add_common(p, inputs=0)
+    _add_model(p)
+    _add_seed(p)
     p.add_argument("--max-nodes", type=int, default=5,
                    help="exhaustive enumeration size (hard limit 8)")
     p.add_argument("--samples", type=int, default=200,
@@ -505,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multilevel", help="two-pass colored comparison")
     _add_common(p, inputs=2)
+    _add_seed(p)
     _add_output(p)
     p.add_argument("--coarse-rep", choices=["c", "d"], default="c",
                    help="representation for the coarse pass")
@@ -517,10 +538,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``rnatreedit stats s.db | head -1``).
+        # Point stdout at devnull, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:
         failure = _failure(exc)
         if failure is None:

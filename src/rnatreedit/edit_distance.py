@@ -42,11 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cost_models import CostModel, LabelPair
-from .tree_model import IndexedTree, Label, LabeledTree, TreeNode
-
-
-class InternalError(Exception):
-    """An invariant of the program failed: a bug, not a bad input."""
+from .tree_model import IndexedTree, InternalError, Label, LabeledTree, TreeNode
 
 
 class MalformedIndexError(InternalError):

@@ -16,9 +16,11 @@ deleted fused root).  Hole sets never intersect a remaining complete
 subtree, which keeps every state compact.  Every move changes one side's
 state, or both, to a successor on that side alone, so each tree's state
 closure is enumerated up front (``_Side``), in an order where successors
-come first, and the DP fills the full product of the two closures
-bottom-up as one flat table (``_fill``).  A parallel table of winning
-line indices drives script extraction.
+come first.  States whose transitions are equal, mapped to classes, form
+one class, and so have equal rows: the DP fills one cell per pair of
+classes, bottom-up, as one flat table (``_fill``).  Script extraction
+walks the real states from the real roots and re-evaluates the lines at
+each cell it visits, so no table of choices is kept.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class _Side:
     moves.  States are numbered in DFS postorder, so every successor of a
     state has a smaller id; id 0 is the empty forest.  Per state ``s``:
 
+    - ``is_tree[s]``: whether the state is a single tree;
     - ``left_part[s]``, ``right_part[s]``: the part left of the rightmost
       complete tree, and that tree (``0`` and ``s`` itself for a tree
       state);
@@ -123,11 +126,21 @@ class _Side:
     - ``merged[s]``: the merged root label of a tree state, else None;
     - ``remove_all[s]``: the price of removing the whole state.
 
-    A B side also numbers its merged labels as classes (``label_of[s]``,
-    -1 for a forest) and keeps ``match_rows``: per merged label of an A
-    state, the match price against each class, priced with the side's
-    model on first use.  Every pair compared against this side reuses
-    them.
+    ``cls[s]`` is the state's class.  ``classes`` lists one signature per
+    class, numbered in the same postorder, so successors' classes come
+    first: ``(is_tree, merged, rcost, remove_all, rest, left_part,
+    right_part, moves)`` with the transitions as classes, ``right_part``
+    None (the class itself) for a tree and ``moves`` as (cost, class).
+    States with one signature have equal rows in any pair table, since
+    every line of a cell reads the same cells at the same prices.
+
+    A B side also numbers the merged labels of its classes
+    (``label_of[c]``, -1 for a forest), lists its classes as the columns
+    of ``_fill`` (``columns``: class, then the signature's fields in the
+    order the fill reads them, with the label number) and keeps
+    ``match_rows``: per merged label of an A state, the match
+    price against each label, priced with the side's model on first use.
+    Every pair compared against this side reuses them.
     """
 
     def __init__(self, tree: IndexedTree, model: CostModel, left: bool,
@@ -146,22 +159,18 @@ class _Side:
         self.fuse_edge = model.cost_edge_fusion if left else model.cost_edge_split
         self.infos: dict[tuple[int, FusionPath], MergedNodeState] = {}
         self.states: list[tuple] = [_EMPTY]
-        self.is_tree: list[bool] = [False]
-        self.left_part: list[int] = [0]
-        self.right_part: list[int] = [0]
-        self.rest: list[int] = [0]
-        self.rcost: list[float] = [0.0]
-        self.moves: list[tuple[tuple[float, int], ...]] = [()]
-        self.merged: list[Optional[LabelPair]] = [None]
-        self.remove_all: list[float] = [0.0]
         self._close(params.cap, params.prune)
         if not left:
-            classes: dict[LabelPair, int] = {}
-            for pair in self.merged:
-                if pair is not None:
-                    classes.setdefault(pair, len(classes))
-            self.label_pairs = list(classes)
-            self.label_of = [classes.get(pair, -1) for pair in self.merged]
+            labels: dict[LabelPair, int] = {}
+            for sig in self.classes:
+                if sig[0]:
+                    labels.setdefault(sig[1], len(labels))
+            self.label_pairs = list(labels)
+            self.label_of = [labels.get(sig[1], -1) for sig in self.classes]
+            self.columns = [(c, tree, lpart, c if tree else rpart, rest, rcost,
+                             self.label_of[c], moves)
+                            for c, (tree, _, rcost, _, rest, lpart, rpart, moves)
+                            in enumerate(self.classes)][1:]
             self.match_rows: dict[LabelPair, list[float]] = {}
 
     def info(self, r: int, path: FusionPath) -> MergedNodeState:
@@ -236,8 +245,14 @@ class _Side:
         return [self.make_forest(*info.cf)] + [m[1] for m in moves], moves
 
     def _close(self, cap: int, prune: bool) -> None:
-        """Enumerate the closure in DFS postorder with an explicit stack."""
+        """Enumerate the closure in DFS postorder with an explicit stack,
+        and give each state its class as it is numbered."""
         ids = {_EMPTY: 0}
+        # Per state, the fields of its class signature in their order,
+        # with the transitions as state ids.
+        rows = [(False, None, 0.0, 0.0, 0, 0, 0, ())]
+        cls = [0]
+        classes = {rows[0]: 0}
         root = ("t", self.t.root, ())
         stack = [[root, *self._successors(root, cap, prune), 0]]
         while stack:
@@ -256,25 +271,23 @@ class _Side:
             self.states.append(state)
             if state[0] == "f":
                 _, a, b, holes = state
-                self.is_tree.append(False)
-                self.left_part.append(ids[succ[0]])
-                self.right_part.append(ids[succ[1]])
-                self.rest.append(ids[succ[2]])
-                self.rcost.append(self.cost1[b])
-                self.moves.append(())
-                self.merged.append(None)
-                self.remove_all.append(self.range_sum(a, b, holes))
+                row = (False, None, self.cost1[b], self.range_sum(a, b, holes),
+                       ids[succ[2]], ids[succ[0]], ids[succ[1]], ())
+                sig = row[:4] + (cls[row[4]], cls[row[5]], cls[row[6]], ())
             else:
                 info = self.info(state[1], state[2])
                 price = self.price_pair(info.merged)
-                self.is_tree.append(True)
-                self.left_part.append(0)
-                self.right_part.append(sid)
-                self.rest.append(ids[succ[0]])
-                self.rcost.append(price)
-                self.moves.append(tuple((cost, ids[child]) for cost, child in moves))
-                self.merged.append(info.merged)
-                self.remove_all.append(price + self.range_sum(*info.cf))
+                row = (True, info.merged, price, price + self.range_sum(*info.cf),
+                       ids[succ[0]], 0, sid,
+                       tuple((cost, ids[child]) for cost, child in moves))
+                sig = row[:4] + (cls[row[4]], 0, None,
+                                 tuple((cost, cls[child]) for cost, child in row[7]))
+            rows.append(row)
+            cls.append(classes.setdefault(sig, len(classes)))
+        (self.is_tree, self.merged, self.rcost, self.remove_all, self.rest,
+         self.left_part, self.right_part, self.moves) = map(list, zip(*rows))
+        self.cls: list[int] = cls
+        self.classes: list[tuple] = list(classes)
 
     def path_counts(self) -> dict[int, int]:
         """Number of fusion paths (the empty one included) per root."""
@@ -310,13 +323,13 @@ class _Side:
 
 @dataclass
 class FusionDPState:
-    """Completed fusion DP: the pair table plus everything extraction needs.
+    """Completed fusion DP: the class-pair table plus what extraction needs.
 
-    ``memo`` is a flat ``array('d')`` over all pairs of states: cell
-    ``i * len(side_b.states) + j`` holds the distance from state ``i`` of
-    ``side_a`` to state ``j`` of ``side_b``.  ``choice`` holds, per cell,
-    the index of the first recurrence line that reaches the minimum (see
-    ``_fill``).
+    ``memo`` is a flat ``array('d')`` over all pairs of state classes:
+    cell ``c * len(side_b.classes) + d`` holds the distance from every
+    state of class ``c`` of ``side_a`` to every state of class ``d`` of
+    ``side_b`` (see ``_Side``).  The distance from state ``i`` to state
+    ``j`` is the cell of ``(side_a.cls[i], side_b.cls[j])``.
     """
 
     a: IndexedTree
@@ -325,7 +338,6 @@ class FusionDPState:
     params: FusionParams
     distance: float = 0.0
     memo: array = field(default_factory=lambda: array("d"))
-    choice: array = field(default_factory=lambda: array("B"))
     side_a: Optional[_Side] = None
     side_b: Optional[_Side] = None
 
@@ -347,8 +359,10 @@ def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
     state = FusionDPState(a, b, m, p)
     state.side_a = _side(a, m, True, p, sides)
     state.side_b = _side(b, m, False, p, sides)
-    state.memo, state.choice = _fill(state.side_a, state.side_b)
-    # Both roots are numbered last, so the root pair is the last cell.
+    state.memo = _fill(state.side_a, state.side_b)
+    # The unfused root is the only state that takes n removals to empty,
+    # so it has a class of its own, numbered last: the root pair is the
+    # last cell.
     state.distance = state.memo[-1]
     return state.distance, state
 
@@ -376,76 +390,107 @@ def _check_path_budget(side: _Side, cap: int) -> None:
                 f"root {r}: {n_paths} fusion paths, budget {budget}")
 
 
-def _fill(sa: _Side, sb: _Side) -> tuple[array, array]:
-    """Fill the pair table bottom-up, row by row in A's state order.
+def _fill(sa: _Side, sb: _Side) -> array:
+    """Fill the class-pair table bottom-up, row by row in A's class order.
 
-    Every cell evaluates its recurrence lines in a fixed order and keeps
-    the first one that reaches the minimum, whose index goes to the
-    choice table:
-
-    0. match the two merged roots (both states trees), else decompose at
-       the rightmost complete trees;
-    1. delete the rightmost root of the A state;
-    2. insert the rightmost root of the B state;
-    3. (both states trees) the A state's fusions, then the B state's
-       splits, in ``_Side.moves`` order.
-
-    Row 0 and column 0 hold the price of removing the other side whole.
-    Match prices come from the B side's match rows (see ``_Side``).
+    A cell is the minimum over its recurrence lines (``_best_line`` lists
+    them in order).  A row of a forest class decomposes at the rightmost
+    complete trees, deletes A's rightmost root or inserts B's.  A row of
+    a tree class does the same against a forest class of B; against a
+    tree class it matches the two merged roots instead of decomposing,
+    and adds A's fusions and B's splits.  Row 0 and column 0 hold the
+    price of removing the other side whole.  Match prices come from the
+    B side's match rows (see ``_Side``).
     """
-    na, nb = len(sa.states), len(sb.states)
-    most = 3 + max(map(len, sa.moves)) + max(map(len, sb.moves))
-    code = "B" if most <= 0xFF else "H" if most <= 0xFFFF else "L"
+    na, nb = len(sa.classes), len(sb.classes)
     table = array("d", [0.0]) * (na * nb)
-    choice = array(code, [0]) * (na * nb)
-    table[:nb] = array("d", sb.remove_all)
-    label_b, label_pairs, match_rows = sb.label_of, sb.label_pairs, sb.match_rows
+    table[:nb] = array("d", [sig[3] for sig in sb.classes])
+    columns, label_pairs, match_rows = sb.columns, sb.label_pairs, sb.match_rows
     cost_match = sb.model.cost_match
-    tree_b, left_b, right_b = sb.is_tree, sb.left_part, sb.right_part
-    rest_b, rcost_b, moves_b = sb.rest, sb.rcost, sb.moves
     for i in range(1, na):
+        tree_a, merged, cost_a, remove_a, rest, left, right, moves = sa.classes[i]
         base = i * nb
-        table[base] = sa.remove_all[i]
-        tree_a = sa.is_tree[i]
-        left_a = sa.left_part[i] * nb
-        right_a = sa.right_part[i] * nb
-        rest_a = sa.rest[i] * nb
-        cost_a = sa.rcost[i]
-        if tree_a:
-            merged = sa.merged[i]
-            match_row = match_rows.get(merged)
-            if match_row is None:
-                match_row = [cost_match(merged, pb) for pb in label_pairs]
-                match_rows[merged] = match_row
-            moves_a = [(cost, child * nb) for cost, child in sa.moves[i]]
-        for j in range(1, nb):
-            both = tree_a and tree_b[j]
-            if both:
-                best = match_row[label_b[j]] + table[rest_a + rest_b[j]]
-            else:
-                best = table[left_a + left_b[j]] + table[right_a + right_b[j]]
-            line = 0
-            alt = cost_a + table[rest_a + j]
-            if alt < best:
-                best, line = alt, 1
-            alt = rcost_b[j] + table[base + rest_b[j]]
-            if alt < best:
-                best, line = alt, 2
-            if both:
-                k = 3
+        table[base] = remove_a
+        rest_a = rest * nb
+        if not tree_a:
+            left_a, right_a = left * nb, right * nb
+            for j, _, left_b, right_b, rest_b, cost_b, _, _ in columns:
+                best = table[left_a + left_b] + table[right_a + right_b]
+                alt = cost_a + table[rest_a + j]
+                if alt < best:
+                    best = alt
+                alt = cost_b + table[base + rest_b]
+                if alt < best:
+                    best = alt
+                table[base + j] = best
+            continue
+        match_row = match_rows.get(merged)
+        if match_row is None:
+            match_row = [cost_match(merged, pb) for pb in label_pairs]
+            match_rows[merged] = match_row
+        moves_a = [(cost, child * nb) for cost, child in moves]
+        for j, tree_b, left_b, right_b, rest_b, cost_b, label_b, moves_b in columns:
+            # The minimum does not depend on the order of the lines.
+            if tree_b:
+                best = match_row[label_b] + table[rest_a + rest_b]
                 for cost, off in moves_a:
                     alt = cost + table[off + j]
                     if alt < best:
-                        best, line = alt, k
-                    k += 1
-                for cost, child in moves_b[j]:
+                        best = alt
+                for cost, child in moves_b:
                     alt = cost + table[base + child]
                     if alt < best:
-                        best, line = alt, k
-                    k += 1
+                        best = alt
+            else:
+                best = table[left_b] + table[base + right_b]
+            alt = cost_a + table[rest_a + j]
+            if alt < best:
+                best = alt
+            alt = cost_b + table[base + rest_b]
+            if alt < best:
+                best = alt
             table[base + j] = best
-            choice[base + j] = line
-    return table, choice
+    return table
+
+
+def _best_line(sa: _Side, sb: _Side, table: array, i: int, j: int
+               ) -> tuple[int, float, list[tuple[int, int]]]:
+    """The recurrence line of the state pair (i, j) that ``_fill``'s cell
+    holds, as (line, price, successor pairs).
+
+    The lines, in order: 0, match the two merged roots (both states
+    trees), else decompose at the rightmost complete trees; 1, delete the
+    rightmost root of the A state; 2, insert the rightmost root of the B
+    state; from 3 on (both states trees), the A state's fusions, then
+    the B state's splits, in ``_Side.moves`` order.  Each is priced from the
+    table through the states' classes with the fill's float operations,
+    and the first that reaches the minimum wins.  Raises when the
+    minimum is not the cell's value.
+    """
+    nb = len(sb.classes)
+    cls_a, cls_b = sa.cls, sb.cls
+    both = sa.is_tree[i] and sb.is_tree[j]
+    if both:
+        row = sb.match_rows[sa.merged[i]]
+        lines = [(row[sb.label_of[cls_b[j]]], [(sa.rest[i], sb.rest[j])])]
+    else:
+        lines = [(0.0, [(sa.left_part[i], sb.left_part[j]),
+                        (sa.right_part[i], sb.right_part[j])])]
+    lines.append((sa.rcost[i], [(sa.rest[i], j)]))
+    lines.append((sb.rcost[j], [(i, sb.rest[j])]))
+    if both:
+        lines.extend((cost, [(child, j)]) for cost, child in sa.moves[i])
+        lines.extend((cost, [(i, child)]) for cost, child in sb.moves[j])
+    best, line = None, 0
+    for k, (cost, pairs) in enumerate(lines):
+        total = cost
+        for p, q in pairs:
+            total += table[cls_a[p] * nb + cls_b[q]]
+        if best is None or total < best:
+            best, line = total, k
+    if best != table[cls_a[i] * nb + cls_b[j]]:
+        raise MalformedIndexError(f"line {line} does not reproduce the value at {(i, j)}")
+    return line, *lines[line]
 
 
 # ---------------------------------------------------------------------------
@@ -575,19 +620,18 @@ GroupMapping = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMapping]:
-    """Follow the DP's choice table into a script and a group mapping.
+    """Follow the DP's winning lines into a script and a group mapping.
 
-    The walk starts at the root pair and visits, depth first, the pairs of
-    each chosen recurrence line.  At every cell it re-adds the chosen
-    line's cost and checks it against the table value.
+    The walk starts at the root pair and visits, depth first, the state
+    pairs of the line ``_best_line`` picks at each cell, which also checks
+    that line against the table.
 
     Fused groups map as single units: each mapping entry pairs the tuple
     of T nodes merged into one object with the tuple of T' nodes that
     object was matched to.
     """
     sa, sb = state.side_a, state.side_b
-    table, choice = state.memo, state.choice
-    nb = len(sb.states)
+    table = state.memo
     decisions = Decisions()
 
     def marks_for(side: _Side, r: int, path: FusionPath) -> tuple[MarkInfo, ...]:
@@ -640,7 +684,7 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
             plain.extend((x, side.cost1[x]) for x in members)
             return
 
-    stack = [(len(sa.states) - 1, nb - 1)]
+    stack = [(len(sa.states) - 1, len(sb.states) - 1)]
     while stack:
         i, j = stack.pop()
         if i == 0:
@@ -649,44 +693,20 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
         if j == 0:
             spill(sa, i, decisions.plain_deletes, decisions.deleted_groups)
             continue
-        cell = i * nb + j
-        line = choice[cell]
+        line, cost, pairs = _best_line(sa, sb, table, i, j)
         if line == 0 and sa.is_tree[i] and sb.is_tree[j]:
             ka, kb = sa.states[i], sb.states[j]
-            cost = state.model.cost_match(sa.merged[i], sb.merged[j])
-            pairs = [(sa.rest[i], sb.rest[j])]
             j_marks = marks_for(sb, kb[1], kb[2])
             decisions.groups.append(GroupDecision(
                 ka[1], marks_for(sa, ka[1], ka[2]), kb[1], j_marks, cost))
             record_j_displaced(j_marks)
-        elif line == 0:
-            cost = 0.0
-            pairs = [(sa.left_part[i], sb.left_part[j]),
-                     (sa.right_part[i], sb.right_part[j])]
         elif line == 1:
-            cost = sa.rcost[i]
-            pairs = [(sa.rest[i], j)]
             record_removal(sa, i, decisions.plain_deletes, decisions.deleted_groups)
         elif line == 2:
-            cost = sb.rcost[j]
-            pairs = [(i, sb.rest[j])]
             record_removal(sb, j, decisions.plain_inserts, decisions.inserted_groups)
-        else:
-            # A fusion or a B split records nothing here: the path is
-            # carried in the next state and resolved at its terminal line.
-            k = line - 3
-            if k < len(sa.moves[i]):
-                cost, child = sa.moves[i][k]
-                pairs = [(child, j)]
-            else:
-                cost, child = sb.moves[j][k - len(sa.moves[i])]
-                pairs = [(i, child)]
-        total = cost
-        for p, q in pairs:
-            total += table[p * nb + q]
-        if total != table[cell]:
-            raise MalformedIndexError(
-                f"line {line} does not reproduce the value at {(i, j)}")
+        # A decomposition, a fusion or a B split records nothing here: a
+        # fusion path is carried in the next state and resolved at its
+        # terminal line.
         stack.extend(reversed(pairs))
     script, mapping = assemble_script(sa.t, sb.t, state.model, decisions)
     return script, mapping

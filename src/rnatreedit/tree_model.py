@@ -14,6 +14,14 @@ from typing import Iterator, Optional
 from .rna_structures import ElementGraph, ElementKind, SecondaryStructure, decompose
 
 
+class InternalError(Exception):
+    """An invariant of the program failed: a bug, not a bad input.
+
+    Defined here, below every module that raises it; ``edit_distance``
+    re-exports it.
+    """
+
+
 @dataclass(frozen=True)
 class Label:
     """A node or edge label: an element kind plus numeric payload."""
@@ -168,7 +176,8 @@ def index(t: LabeledTree) -> IndexedTree:
             l[i] = l[coll[0]] if coll else i
             if parent_coll is not None:
                 parent_coll.append(i)
-    assert counter == n
+    if counter != n:
+        raise InternalError(f"postorder numbered {counter} nodes, size() gave {n}")
     # LR(T): the highest-indexed node for each distinct leftmost leaf.
     last_for_leaf: dict[int, int] = {}
     for k in range(1, n + 1):

@@ -469,6 +469,52 @@ class TestOptions:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{s}", "--model", "nosuch"], ["stats", "{s}", "--rep", "b"],
+        ["stats", "{s}", "--t", "-3"], ["stats", "{s}", "--no-prune"],
+        ["stats", "{s}", "--seed", "4"], ["validate", "--rep", "b"],
+        ["validate", "--l", "7"], ["validate", "--format", "ct"], ["validate", "--seed", "4"],
+        ["verify", "--rep", "b"], ["verify", "--l", "1"], ["verify", "--strict-pairs"],
+        ["compare-batch", "{s}", "--seed", "4"]])
+    def test_options_a_command_does_not_read_are_refused(self, argv, stem_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([x.format(s=stem_file) for x in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_stats_cap_out_of_range(self, stem_file, capsys):
+        assert main(["stats", stem_file, "--l", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: l must be in [0, 3]\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """A reader that closes the pipe while compare-batch is still writing
+    (``rnatreedit compare-batch ... | head -1``) ends the run with exit 0
+    and nothing on stderr."""
+    a, b = tmp_path / "a.db", tmp_path / "b.db"
+    a.write_text("GGGAAACCC\n(((...)))\n")
+    b.write_text("GGGGAAAACCCC\n((((....))))\n")
+    pairs = tmp_path / "pairs.txt"
+    # Far more output than a pipe holds, so the writer meets the closed end.
+    pairs.write_text(f"{a} {b}\n" * 3000)
+    src = str(Path(rnatreedit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "rnatreedit.cli", "compare-batch",
+                             str(pairs), "--l", "0"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first.startswith(f"{a}\t{b}\t".encode())
+    assert err == b""
+
+
 def test_cli_import_loads_only_what_compare_batch_runs():
     """`import rnatreedit.cli` leaves the process pool, the oracles, the
     generators and multilevel unloaded; the package exports still resolve

@@ -20,8 +20,10 @@ Regenerate (only when a change of results is intended) with::
 import hashlib
 import json
 import random
+from array import array
 from pathlib import Path
 
+from rnatreedit import fusion_distance
 from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import extract_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
@@ -232,11 +234,13 @@ def test_uncolored_fine_cases_hold_uncolored_nodes():
 
 
 def test_table_is_full_product_of_closures_in_successor_order():
+    """The table holds one cell per pair of state classes; states and
+    classes come successors first, and every state's transitions, mapped
+    to classes, are its class's signature."""
     for case, a, b, name, params in fusion_cases():
         _, state = fusion_dp(a, b, MODELS[name], params)
         sa, sb = state.side_a, state.side_b
-        assert len(state.memo) == len(sa.states) * len(sb.states), case
-        assert len(state.choice) == len(state.memo), case
+        assert len(state.memo) == len(sa.classes) * len(sb.classes), case
         for side in (sa, sb):
             assert side.states[0] == ("f", 1, 0, ())
             for s in range(1, len(side.states)):
@@ -247,6 +251,119 @@ def test_table_is_full_product_of_closures_in_successor_order():
                 else:
                     successors.append(side.right_part[s])
                 assert all(x < s for x in successors), (case, s)
+            cls = side.cls
+            for c, (tree, _, _, _, rest, left, right, moves) in enumerate(side.classes):
+                below = [rest, left] + [child for _cost, child in moves]
+                if not tree:
+                    below.append(right)
+                assert all(x < c for x in below) or c == 0, (case, c)
+            for s in range(len(side.states)):
+                tree = side.is_tree[s]
+                assert side.classes[cls[s]] == (
+                    tree, side.merged[s], side.rcost[s], side.remove_all[s],
+                    cls[side.rest[s]], cls[side.left_part[s]],
+                    None if tree else cls[side.right_part[s]],
+                    tuple((cost, cls[child]) for cost, child in side.moves[s])), (case, s)
+
+
+def reference_fill(sa, sb):
+    """The full pair table over real states and its table of first-minimum
+    lines, filled as before states were grouped into classes."""
+    na, nb = len(sa.states), len(sb.states)
+    table = array("d", [0.0]) * (na * nb)
+    choice = array("L", [0]) * (na * nb)
+    table[:nb] = array("d", sb.remove_all)
+    prices = {}
+
+    def cost_match(pa, pb):
+        if (pa, pb) not in prices:
+            prices[pa, pb] = sb.model.cost_match(pa, pb)
+        return prices[pa, pb]
+
+    for i in range(1, na):
+        base = i * nb
+        table[base] = sa.remove_all[i]
+        left_a, right_a = sa.left_part[i] * nb, sa.right_part[i] * nb
+        rest_a = sa.rest[i] * nb
+        moves_a = [(cost, child * nb) for cost, child in sa.moves[i]]
+        for j in range(1, nb):
+            both = sa.is_tree[i] and sb.is_tree[j]
+            if both:
+                best = (cost_match(sa.merged[i], sb.merged[j])
+                        + table[rest_a + sb.rest[j]])
+            else:
+                best = table[left_a + sb.left_part[j]] + table[right_a + sb.right_part[j]]
+            line = 0
+            alt = sa.rcost[i] + table[rest_a + j]
+            if alt < best:
+                best, line = alt, 1
+            alt = sb.rcost[j] + table[base + sb.rest[j]]
+            if alt < best:
+                best, line = alt, 2
+            if both:
+                k = 3
+                for cost, off in moves_a:
+                    alt = cost + table[off + j]
+                    if alt < best:
+                        best, line = alt, k
+                    k += 1
+                for cost, child in sb.moves[j]:
+                    alt = cost + table[base + child]
+                    if alt < best:
+                        best, line = alt, k
+                    k += 1
+            table[base + j] = best
+            choice[base + j] = line
+    return table, choice
+
+
+def reference_cases():
+    """(case id, a, b, model, params): the golden fusion cases plus 40
+    seeded pairs, related rep-c and rep-d structures and random trees with
+    edge labels, at caps 1 and 2 with pruning on and off."""
+    for case, a, b, name, params in fusion_cases():
+        yield case, a, b, MODELS[name], params
+    rng = random.Random(31)
+    for k in range(40):
+        kind = ("c", "d", "tree")[k % 3]
+        if kind == "tree":
+            a, b = (index(random_tree(rng, rng.randint(8, 30), 3,
+                                      [Label("h", (1,)), Label("i", (9,))],
+                                      [Label("x", (2,))]))
+                    for _ in range(2))
+        else:
+            base = stacked(random_structure(rng, rng.randint(20, 40)))
+            a, b = (index(build(variant(rng, base), kind)) for _ in range(2))
+        name = ("unit", "structural")[k // 4 % 2]
+        params = FusionParams(cap=1 + k % 2, prune=k // 2 % 2 == 0)
+        yield f"seeded-{k}-{kind}", a, b, MODELS[name], params
+
+
+def test_class_table_reproduces_full_table_and_its_choices(monkeypatch):
+    """Every real cell of the full table equals the cell of its classes,
+    bit for bit, and extraction picks the full table's choice at every
+    cell it visits."""
+    picks = []
+
+    def recorded(sa, sb, table, i, j):
+        found = best_line(sa, sb, table, i, j)
+        picks.append((i, j, found[0]))
+        return found
+
+    best_line = fusion_distance._best_line
+    monkeypatch.setattr(fusion_distance, "_best_line", recorded)
+    for case, a, b, model, params in reference_cases():
+        _, state = fusion_dp(a, b, model, params)
+        sa, sb = state.side_a, state.side_b
+        table, choice = reference_fill(sa, sb)
+        nb = len(sb.classes)
+        by_class = array("d", [state.memo[ca * nb + cb] for ca in sa.cls for cb in sb.cls])
+        assert by_class.tobytes() == table.tobytes(), case
+        picks.clear()
+        extract_fusion_script(state)
+        assert picks, case
+        for i, j, line in picks:
+            assert line == choice[i * len(sb.states) + j], (case, i, j)
 
 
 if __name__ == "__main__":

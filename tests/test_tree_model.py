@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from rnatreedit import edit_distance
 from rnatreedit.generators import random_structure, random_tree
 from rnatreedit.rna_structures import decompose, parse_dotbracket
-from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index, to_dot,
-                                   to_parenthesized, trees_equal)
+from rnatreedit.tree_model import (InternalError, Label, LabeledTree, TreeNode, build,
+                                   index, to_dot, to_parenthesized, trees_equal)
 
 
 def db(seq, struct):
@@ -87,6 +88,16 @@ class TestRepE:
 
 
 class TestIndex:
+    def test_size_mismatch_is_internal_error(self, monkeypatch):
+        """A postorder count that disagrees with size() raises, also under
+        ``python -O``; ``edit_distance`` re-exports the same class."""
+        t = build(STEM_LOOP, "b")
+        real = LabeledTree.size
+        monkeypatch.setattr(LabeledTree, "size", lambda self: real(self) + 1)
+        with pytest.raises(InternalError, match="numbered 7 nodes, size\\(\\) gave 8"):
+            index(t)
+        assert edit_distance.InternalError is InternalError
+
     def test_single_node(self):
         t = index(LabeledTree(TreeNode(Label("a"))))
         assert t.n == 1
