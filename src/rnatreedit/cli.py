@@ -170,16 +170,12 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str],
 
 def _mapping_dot(result: dict) -> str:
     ta, tb = result["a"], result["b"]
-    da = to_dot(ta.tree, "A").splitlines()[1:-1]
-    db = to_dot(tb.tree, "B").splitlines()[1:-1]
     lines = ["digraph comparison {", "  rankdir=TB;"]
     lines.append("  subgraph cluster_a { label=\"T\";")
-    lines.extend("  " + ln.replace("n", "a", 1) if ln.strip().startswith("n") else ln
-                 for ln in da)
+    lines.extend("  " + ln for ln in to_dot(ta.tree, "a").splitlines()[1:-1])
     lines.append("  }")
     lines.append("  subgraph cluster_b { label=\"T'\";")
-    lines.extend("  " + ln.replace("n", "b", 1) if ln.strip().startswith("n") else ln
-                 for ln in db)
+    lines.extend("  " + ln for ln in to_dot(tb.tree, "b").splitlines()[1:-1])
     lines.append("  }")
     # postorder ids map to dot preorder ids via the preorder walk
     pre_a = {node: k for k, node in enumerate(ta.preorder())}
@@ -349,12 +345,8 @@ def run_verification(model: cost_models.CostModel, rng: random.Random,
     from . import generators, oracle
     failures: list[str] = []
     alphabet = [Label("a"), Label("b")]
-    indexed = []
-    for n in range(1, exhaustive_max + 1):
-        for shape in generators.all_tree_shapes(n):
-            for labeling in range(len(alphabet) ** n):
-                indexed.append(index(generators.shape_to_tree(
-                    shape, alphabet, labeling)))
+    indexed = [index(t) for n in range(1, exhaustive_max + 1)
+               for t in generators.labeled_trees(n, alphabet)]
     cache = oracle.MappingOracleCache()
     for a in indexed:
         for b in indexed:

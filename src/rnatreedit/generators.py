@@ -100,23 +100,22 @@ def _product_shapes(sizes: tuple[int, ...]) -> list[list[tuple]]:
     return out
 
 
-def shape_to_tree(shape: tuple, node_labels: Sequence[Label],
-                  labeling: int, edge_label: Optional[Label] = None) -> LabeledTree:
-    """Materialize a shape; ``labeling`` indexes the label assignment.
+def labeled_trees(n: int, node_labels: Sequence[Label],
+                  edge_label: Optional[Label] = None) -> list[LabeledTree]:
+    """Every labeled tree with exactly n nodes.
 
-    Successive base-k digits of ``labeling`` pick each node's label in
-    preorder, so iterating labeling over range(k**n) enumerates every
-    labeled tree of that shape.
+    Shapes come in ``all_tree_shapes`` order and, within a shape, labelings
+    0..k**n-1, whose successive base-k digits pick each node's label in
+    preorder.  Every non-root node carries ``edge_label``.
     """
     k = len(node_labels)
-    state = {"value": labeling}
 
-    def build(sub: tuple, is_root: bool) -> TreeNode:
-        lbl = node_labels[state["value"] % k]
-        state["value"] //= k
-        node = TreeNode(lbl, None if is_root else edge_label)
+    def build(sub: tuple, edge: Optional[Label], digits) -> TreeNode:
+        node = TreeNode(node_labels[next(digits)], edge)
         for child in sub:
-            node.add(build(child, False))
+            node.add(build(child, edge_label, digits))
         return node
 
-    return LabeledTree(build(shape, True))
+    return [LabeledTree(build(shape, None,
+                              (labeling // k ** p % k for p in range(n))))
+            for shape in all_tree_shapes(n) for labeling in range(k ** n)]

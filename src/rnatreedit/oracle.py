@@ -88,23 +88,34 @@ def valid_mapping_skeletons(a: IndexedTree, b: IndexedTree
     return out
 
 
-def mapping_oracle(a: IndexedTree, b: IndexedTree, m: CostModel) -> float:
-    """Minimum cost over all valid mappings: matches plus unmapped dels/ins."""
+def _cheapest_mapping(a: IndexedTree, b: IndexedTree, m: CostModel,
+                      skeletons_of: Callable[[IndexedTree, IndexedTree], list]
+                      ) -> float:
+    """Cheapest of ``skeletons_of(a, b)``, each node pair priced once."""
     if a.n > MAX_ORACLE_NODES or b.n > MAX_ORACLE_NODES:
         raise BudgetExceededError(
             f"mapping oracle limited to {MAX_ORACLE_NODES} nodes")
     del_costs = [0.0] + [m.cost_del(a.pair(i)) for i in range(1, a.n + 1)]
     ins_costs = [0.0] + [m.cost_ins(b.pair(j)) for j in range(1, b.n + 1)]
-    del_all = sum(del_costs)
-    ins_all = sum(ins_costs)
-    best = del_all + ins_all
-    for sa, sb in valid_mapping_skeletons(a, b):
-        cost = del_all + ins_all
+    gain = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
+    for i in range(1, a.n + 1):
+        for j in range(1, b.n + 1):
+            gain[i][j] = (m.cost_match(a.pair(i), b.pair(j))
+                          - del_costs[i] - ins_costs[j])
+    base = sum(del_costs) + sum(ins_costs)
+    best = base
+    for sa, sb in skeletons_of(a, b):
+        cost = base
         for i, j in zip(sa, sb):
-            cost += m.cost_match(a.pair(i), b.pair(j)) - del_costs[i] - ins_costs[j]
+            cost += gain[i][j]
         if cost < best:
             best = cost
     return best
+
+
+def mapping_oracle(a: IndexedTree, b: IndexedTree, m: CostModel) -> float:
+    """Minimum cost over all valid mappings: matches plus unmapped dels/ins."""
+    return _cheapest_mapping(a, b, m, valid_mapping_skeletons)
 
 
 class MappingOracleCache:
@@ -112,36 +123,22 @@ class MappingOracleCache:
 
     Valid mapping skeletons depend only on the two tree shapes, so
     exhaustive sweeps over labeled trees share them across label
-    assignments.
+    assignments.  The postorder child lists identify a shape.
     """
 
     def __init__(self):
         self._skeletons: dict[tuple, list] = {}
 
-    @staticmethod
-    def _shape(t: IndexedTree) -> tuple:
-        def sub(i: int) -> tuple:
-            return tuple(sub(c) for c in t.children[i])
-        return sub(t.root)
-
-    def distance(self, a: IndexedTree, b: IndexedTree, m: CostModel) -> float:
-        key = (self._shape(a), self._shape(b))
+    def _skeletons_for(self, a: IndexedTree, b: IndexedTree) -> list:
+        key = (tuple(a.children), tuple(b.children))
         skeletons = self._skeletons.get(key)
         if skeletons is None:
             skeletons = valid_mapping_skeletons(a, b)
             self._skeletons[key] = skeletons
-        del_costs = [0.0] + [m.cost_del(a.pair(i)) for i in range(1, a.n + 1)]
-        ins_costs = [0.0] + [m.cost_ins(b.pair(j)) for j in range(1, b.n + 1)]
-        base = sum(del_costs) + sum(ins_costs)
-        best = base
-        for sa, sb in skeletons:
-            cost = base
-            for i, j in zip(sa, sb):
-                cost += (m.cost_match(a.pair(i), b.pair(j))
-                         - del_costs[i] - ins_costs[j])
-            if cost < best:
-                best = cost
-        return best
+        return skeletons
+
+    def distance(self, a: IndexedTree, b: IndexedTree, m: CostModel) -> float:
+        return _cheapest_mapping(a, b, m, self._skeletons_for)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -98,8 +98,11 @@ def validate_pairs(sequence: str, pairs: Sequence[tuple[int, int]],
     """Check pairing invariants: index sanity, uniqueness, no interleaving.
 
     With ``pairing`` set to 'strict' or 'wobble' the base identities are
-    checked as well.
+    checked as well; a policy outside ``PAIRING_POLICIES`` is a ValueError.
     """
+    if pairing not in PAIRING_POLICIES:
+        raise ValueError(f"unknown pairing policy {pairing!r}; "
+                         f"expected one of {PAIRING_POLICIES}")
     n = len(sequence)
     seen: set[int] = set()
     for i, j in pairs:
@@ -283,9 +286,6 @@ class ElementGraph:
             for b in el.bases:
                 owner[b] = el.index
         return owner
-
-    def loops(self) -> Iterator[StructureElement]:
-        return (e for e in self.elements if e.kind is not ElementKind.HELIX)
 
 
 def _helices(s: SecondaryStructure) -> list[list[tuple[int, int]]]:

@@ -67,10 +67,6 @@ class TreeNode:
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)
 
-    def copy(self) -> "TreeNode":
-        return TreeNode(self.label, self.edge_label,
-                        [c.copy() for c in self.children], self.origin)
-
 
 @dataclass
 class LabeledTree:
@@ -82,9 +78,6 @@ class LabeledTree:
 
     def size(self) -> int:
         return self.root.size()
-
-    def copy(self) -> "LabeledTree":
-        return LabeledTree(self.root.copy(), self.rep, self.source_id)
 
 
 def trees_equal(a: TreeNode, b: TreeNode) -> bool:
@@ -352,7 +345,8 @@ _DOT_SHAPES = {
 
 
 def to_dot(t: LabeledTree, name: str = "tree") -> str:
-    """Graphviz text; node shapes follow the element-kind conventions."""
+    """Graphviz text; node ids are ``name`` plus the preorder number and
+    node shapes follow the element-kind conventions."""
     lines = [f"digraph {name} {{", "  node [fontsize=10];"]
     counter = 0
 
@@ -361,10 +355,10 @@ def to_dot(t: LabeledTree, name: str = "tree") -> str:
         nid = counter
         counter += 1
         shape = _DOT_SHAPES.get(node.label.kind, "ellipse")
-        lines.append(f'  n{nid} [label="{node.label}" shape={shape}];')
+        lines.append(f'  {name}{nid} [label="{node.label}" shape={shape}];')
         if parent_id is not None:
             edge = f' [label="{node.edge_label}"]' if node.edge_label else ""
-            lines.append(f"  n{parent_id} -> n{nid}{edge};")
+            lines.append(f"  {name}{parent_id} -> {name}{nid}{edge};")
         for c in node.children:
             visit(c, nid)
 

@@ -18,11 +18,10 @@ from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import extract_script, replay_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
-from rnatreedit.generators import (all_tree_shapes, random_structure,
-                                   random_tree, shape_to_tree)
+from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.multilevel import multilevel_compare
-from rnatreedit.oracle import (SearchBudget, mapping_oracle,
-                               script_search_oracle, valid_mapping_skeletons)
+from rnatreedit.oracle import (MappingOracleCache, SearchBudget,
+                               mapping_oracle, script_search_oracle)
 from rnatreedit.rna_structures import (PseudoknotDetectedError, decompose,
                                        emit_ct, emit_dotbracket, parse_ct,
                                        parse_dotbracket)
@@ -57,34 +56,21 @@ T_VALUES = (0.0, 0.05, 0.2)
 @pytest.fixture(scope="module")
 def unit_trees():
     """All labeled trees with <= 5 nodes over a two-letter alphabet."""
-    by_size = {}
-    for n in range(1, 6):
-        trees = []
-        for shape in all_tree_shapes(n):
-            for labeling in range(2 ** n):
-                trees.append(index(shape_to_tree(shape, UNIT_ALPHABET, labeling)))
-        by_size[n] = trees
-    return by_size
+    return {n: [index(t) for t in labeled_trees(n, UNIT_ALPHABET)]
+            for n in range(1, 6)}
 
 
 @pytest.fixture(scope="module")
 def struct_trees():
     """All labeled trees with <= 5 nodes over the sized two-label alphabet."""
-    by_size = {}
-    for n in range(1, 6):
-        trees = []
-        for shape in all_tree_shapes(n):
-            for labeling in range(2 ** n):
-                trees.append(index(shape_to_tree(
-                    shape, STRUCT_NODE_LABELS, labeling, STRUCT_EDGE)))
-        by_size[n] = trees
-    return by_size
+    return {n: [index(t) for t in labeled_trees(n, STRUCT_NODE_LABELS,
+                                                STRUCT_EDGE)]
+            for n in range(1, 6)}
 
 
-def _shape_key(t):
-    def sub(i):
-        return tuple(sub(c) for c in t.children[i])
-    return sub(t.root)
+def _random_struct_tree(rng, max_nodes):
+    return index(random_tree(rng, rng.randint(1, max_nodes), 3,
+                             STRUCT_NODE_LABELS, [STRUCT_EDGE]))
 
 
 @pytest.fixture(scope="module")
@@ -122,50 +108,21 @@ def fusion_suite_results(fusion_suite):
     return results
 
 
-def _fast_classical_oracle_factory(trees_by_size):
-    """Shape-level skeleton cache turning the mapping oracle into sums."""
-    skeleton_cache = {}
-
-    def oracle(a, b, match01, del_cost=1.0):
-        key = (_shape_key(a), _shape_key(b))
-        skel = skeleton_cache.get(key)
-        if skel is None:
-            skel = valid_mapping_skeletons(a, b)
-            skeleton_cache[key] = skel
-        base = (a.n + b.n) * del_cost
-        best = base
-        for sa, sb in skel:
-            cost = base
-            for i, j in zip(sa, sb):
-                cost += match01(a, i, b, j) - 2 * del_cost
-            if cost < best:
-                best = cost
-        return best
-
-    return oracle
-
-
 @criterion(1, "classical distance equals the mapping oracle "
               "(exhaustive <=5 nodes, 200 random <=8-node pairs)")
 def test_criterion_1_classical_oracle(unit_trees):
     m = unit_model()
-
-    def match01(a, i, b, j):
-        return 0.0 if a.labels[i] == b.labels[j] else 1.0
-
-    oracle = _fast_classical_oracle_factory(unit_trees)
+    oracle = MappingOracleCache()
     everything = [t for n in range(1, 6) for t in unit_trees[n]]
     for a in everything:
         for b in everything:
             d, _ = zs_distance(a, b, m)
-            assert d == oracle(a, b, match01)
+            assert d == oracle.distance(a, b, m)
     rng = random.Random(1001)
     ms = structural_model(t=0.05)
     for _ in range(200):
-        a = index(random_tree(rng, rng.randint(1, 8), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-        b = index(random_tree(rng, rng.randint(1, 8), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
+        a = _random_struct_tree(rng, 8)
+        b = _random_struct_tree(rng, 8)
         d, _ = zs_distance(a, b, ms)
         assert d == mapping_oracle(a, b, ms)
 
@@ -184,10 +141,8 @@ def test_criterion_3_metric_axioms():
     params = FusionParams(cap=1)
     for m in (unit_model(t=0.1), structural_model(t=0.05)):
         for _ in range(100):
-            a = index(random_tree(rng, rng.randint(1, 7), 3,
-                                  STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-            b = index(random_tree(rng, rng.randint(1, 7), 3,
-                                  STRUCT_NODE_LABELS, [STRUCT_EDGE]))
+            a = _random_struct_tree(rng, 7)
+            b = _random_struct_tree(rng, 7)
             dab, _ = fusion_dp(a, b, m, params)
             dba, _ = fusion_dp(b, a, m, params)
             assert dab >= 0.0
@@ -197,9 +152,7 @@ def test_criterion_3_metric_axioms():
             d_self, _ = fusion_dp(a, a, m, params)
             assert d_self == 0.0
         for _ in range(100):
-            ts = [index(random_tree(rng, rng.randint(1, 6), 3,
-                                    STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-                  for _ in range(3)]
+            ts = [_random_struct_tree(rng, 6) for _ in range(3)]
             dab, _ = fusion_dp(ts[0], ts[1], m, params)
             dbc, _ = fusion_dp(ts[1], ts[2], m, params)
             dac, _ = fusion_dp(ts[0], ts[2], m, params)
@@ -239,10 +192,8 @@ def test_criterion_4_reduction_and_dominance():
     rng = random.Random(4004)
     m = structural_model(t=0.05)
     for _ in range(500):
-        a = index(random_tree(rng, rng.randint(1, 9), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-        b = index(random_tree(rng, rng.randint(1, 9), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
+        a = _random_struct_tree(rng, 9)
+        b = _random_struct_tree(rng, 9)
         classical, _ = zs_distance(a, b, m)
         reduced, _ = fusion_dp(a, b, m, FusionParams(cap=0))
         assert reduced == classical
@@ -314,10 +265,8 @@ def test_criterion_8_script_replay():
     mu = unit_model(t=0.1)
     runs = 0
     for _ in range(600):
-        a = index(random_tree(rng, rng.randint(1, 10), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-        b = index(random_tree(rng, rng.randint(1, 10), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
+        a = _random_struct_tree(rng, 10)
+        b = _random_struct_tree(rng, 10)
         model = m if runs % 2 else mu
         d, tables = zs_distance(a, b, model)
         script, _ = extract_script(tables)
@@ -326,10 +275,8 @@ def test_criterion_8_script_replay():
         runs += 1
     for _ in range(450):
         cap = 1 + (runs % 2)
-        a = index(random_tree(rng, rng.randint(1, 8), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
-        b = index(random_tree(rng, rng.randint(1, 8), 3,
-                              STRUCT_NODE_LABELS, [STRUCT_EDGE]))
+        a = _random_struct_tree(rng, 8)
+        b = _random_struct_tree(rng, 8)
         d, state = fusion_dp(a, b, m, FusionParams(cap=cap))
         script, _ = extract_fusion_script(state)
         assert script.total_cost == d

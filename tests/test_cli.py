@@ -12,10 +12,10 @@ import pytest
 import rnatreedit
 from rnatreedit import cli, fusion_distance
 from rnatreedit.cli import main
-from rnatreedit.edit_distance import EditScript, replay_script
+from rnatreedit.edit_distance import replay_script
 from rnatreedit.generators import random_structure
 from rnatreedit.rna_structures import emit_ct, emit_dotbracket
-from rnatreedit.tree_model import build, index, to_parenthesized, trees_equal
+from rnatreedit.tree_model import build, index, to_parenthesized
 
 
 @pytest.fixture
@@ -87,8 +87,7 @@ class TestCompare:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_script_replays(self, split_files, tmp_path):
-        from rnatreedit.cli import _load_structure, _model_from_args, _compare_pair
-        import argparse
+        from rnatreedit.cli import _load_structure
         a, b = split_files
         out = tmp_path / "r.json"
         assert main(["compare", a, b, "--rep", "d", "--emit", "json",
@@ -112,6 +111,27 @@ class TestCompare:
         assert code == 0
         assert out.startswith("digraph")
         assert "cluster_a" in out and "cluster_b" in out
+        assert main(["compare", a, b, "--rep", "d", "--emit", "json"]) == 0
+        mapping = json.loads(capsys.readouterr().out)["mapping"]
+        sizes = [index(build(cli._load_structure(p, "auto", "wobble"), "d")).n
+                 for p in (a, b)]
+        # each cluster declares its tree's nodes and edges; the dashed
+        # mapping edges follow the clusters
+        _, body_a, rest = out.split("  subgraph cluster_")
+        body_b, links = rest.split("\n  }\n")
+        declared = []
+        for body, n in zip((body_a.split("\n  }\n")[0], body_b), sizes):
+            lines = [ln.split() for ln in body.splitlines()[1:]
+                     if not ln.strip().startswith("node [")]
+            nodes = {ln[0] for ln in lines if ln[1] != "->"}
+            edges = [(ln[0], ln[2].rstrip(";")) for ln in lines if ln[1] == "->"]
+            assert len(nodes) == n and len(edges) == n - 1
+            assert all({u, v} <= nodes for u, v in edges)
+            declared.append(nodes)
+        links = [ln.split() for ln in links.splitlines() if "->" in ln]
+        assert len(links) == len(mapping)
+        assert all(ln[0] in declared[0] and ln[2] in declared[1]
+                   and "[style=dashed" in ln[3] for ln in links)
 
     def test_ct_and_auto_format(self, tmp_path, capsys):
         rng = random.Random(11)
@@ -184,6 +204,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize("name, check", [("zs_distance", "classical"),
+                                             ("fusion_dp", "fusion")])
+    def test_perturbed_dp_caught(self, monkeypatch, capsys, name, check):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: (real(*args)[0] + 0.5, None))
+        assert main(["verify", "--max-nodes", "2", "--samples", "5",
+                     "--model", "unit", "--seed", "7"]) == 1
+        assert f"MISMATCH: {check} " in capsys.readouterr().out
 
     def test_above_budget_refused(self, capsys):
         code = main(["verify", "--max-nodes", "9"])

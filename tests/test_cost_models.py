@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from rnatreedit.cost_models import (InvalidTError, merge_edge_labels,

@@ -10,8 +10,7 @@ import pytest
 from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import (extract_script, replay_script,
                                       validate_mapping, zs_distance)
-from rnatreedit.generators import (all_tree_shapes, random_structure, random_tree,
-                                   shape_to_tree)
+from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
 from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index,
                                    trees_equal)
@@ -60,11 +59,8 @@ class TestDistance:
         # the full 5-node sweep runs in the acceptance suite
         m = unit_model()
         alphabet = [Label("a"), Label("b")]
-        trees = []
-        for n in range(1, 5):
-            for shape in all_tree_shapes(n):
-                for labeling in range(2 ** n):
-                    trees.append(index(shape_to_tree(shape, alphabet, labeling)))
+        trees = [index(t) for n in range(1, 5)
+                 for t in labeled_trees(n, alphabet)]
         for a in trees:
             for b in trees:
                 d, _ = zs_distance(a, b, m)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from rnatreedit import fusion_distance

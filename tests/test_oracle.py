@@ -1,8 +1,9 @@
 import pytest
 
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.generators import random_tree
-from rnatreedit.oracle import (BudgetExceededError, SearchBudget,
+from rnatreedit.generators import labeled_trees, random_tree
+from rnatreedit.oracle import (MAX_ORACLE_NODES, BudgetExceededError,
+                               MappingOracleCache, SearchBudget,
                                mapping_oracle, script_search_oracle,
                                valid_mapping_skeletons)
 from rnatreedit.tree_model import Label, LabeledTree, TreeNode, index
@@ -22,9 +23,25 @@ class TestMappingOracle:
         assert mapping_oracle(single("A"), single("B"), unit_model()) == 1.0
 
     def test_budget_enforced(self, rng):
-        big = index(random_tree(rng, 9, 3, NODE_LABELS))
+        big = index(random_tree(rng, MAX_ORACLE_NODES + 1, 3, NODE_LABELS))
         with pytest.raises(BudgetExceededError):
             mapping_oracle(big, big, unit_model())
+        with pytest.raises(BudgetExceededError):
+            MappingOracleCache().distance(big, big, unit_model())
+
+    def test_cache_matches_oracle(self, rng):
+        # every labeling of each small shape, plus random trees with a
+        # second edge label; shapes recur across labelings and sizes
+        corpus = [index(t) for n in range(1, 4)
+                  for t in labeled_trees(n, NODE_LABELS, EDGE_LABELS[0])]
+        corpus += [index(random_tree(rng, rng.randint(1, 6), 3, NODE_LABELS,
+                                     EDGE_LABELS + [Label("y", (5,))]))
+                   for _ in range(20)]
+        cache = MappingOracleCache()
+        for m in (unit_model(), structural_model(t=0.05)):
+            for a in corpus:
+                for b in corpus:
+                    assert cache.distance(a, b, m) == mapping_oracle(a, b, m)
 
     def test_skeletons_preserve_order(self, rng):
         a = index(random_tree(rng, 5, 3, NODE_LABELS))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rnatreedit.generators import random_structure
 from rnatreedit.rna_structures import (
     ElementKind, IllegalCharacterError, LengthMismatchError,
-    NonCanonicalPairError, NonReciprocalPairError, PseudoknotDetectedError,
-    SecondaryStructure, UnbalancedBracketsError, decompose, emit_ct,
+    NonCanonicalPairError, NonReciprocalPairError, PAIRING_POLICIES,
+    PseudoknotDetectedError, UnbalancedBracketsError, decompose, emit_ct,
     emit_dotbracket, parse_ct, parse_dotbracket)
 
 
@@ -53,6 +54,11 @@ class TestDotBracket:
         db(s, struct)  # G-U wobble accepted by default
         with pytest.raises(NonCanonicalPairError):
             db(s, struct, pairing="strict")
+
+    def test_unknown_pairing_policy_rejected(self):
+        for policy in ("wobbel", "nonsense"):
+            with pytest.raises(ValueError, match=re.escape(str(PAIRING_POLICIES))):
+                db("GGGAAACCC", "(((...)))", pairing=policy)
 
     def test_non_canonical_rejected_even_default(self):
         with pytest.raises(NonCanonicalPairError):

@@ -4,7 +4,7 @@ import pytest
 
 from rnatreedit import edit_distance
 from rnatreedit.generators import random_structure, random_tree
-from rnatreedit.rna_structures import decompose, parse_dotbracket
+from rnatreedit.rna_structures import parse_dotbracket
 from rnatreedit.tree_model import (InternalError, Label, LabeledTree, TreeNode, build,
                                    index, to_dot, to_parenthesized, trees_equal)
 
