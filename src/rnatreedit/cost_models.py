@@ -152,7 +152,7 @@ _SIZE_SCALE = 4.0
 _BASE_DEL = 0.125
 
 
-def structural_model(rep: str = "generic", t: float = 0.05, cap: bool = False,
+def structural_model(t: float = 0.05, cap: bool = False,
                      kind_penalty: float = 0.5,
                      normalization: str = "sum") -> CostModel:
     """Size-aware costs in [0, 1] for the element-style encodings.
@@ -198,8 +198,7 @@ def structural_model(rep: str = "generic", t: float = 0.05, cap: bool = False,
     return CostModel(
         name="structural", t=quantize(t), cap=cap,
         match_fn=match, del_fn=del_, ins_fn=del_,
-        params=(("rep", rep), ("kind_penalty", kind_penalty),
-                ("normalization", normalization)),
+        params=(("kind_penalty", kind_penalty), ("normalization", normalization)),
     )
 
 
@@ -353,8 +352,7 @@ def model_from_settings(settings: dict[str, str]) -> CostModel:
         model = unit_model(t=t, cap=cap, **extra)
     elif kind == "structural":
         model = structural_model(
-            rep=settings.pop("rep", "generic"), t=t, cap=cap,
-            kind_penalty=float(settings.pop("kind_penalty", "0.5")),
+            t=t, cap=cap, kind_penalty=float(settings.pop("kind_penalty", "0.5")),
             normalization=settings.pop("normalization", "sum"))
     else:
         raise ValueError(f"unknown model kind {kind!r}")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cost_models import CostModel, LabelPair
-from .tree_model import IndexedTree, InternalError, Label, LabeledTree, TreeNode
+from .tree_model import IndexedTree, InternalError, Label, LabeledTree
 
 
 class MalformedIndexError(InternalError):
@@ -188,21 +188,16 @@ class ReplayContext:
     """
 
     def __init__(self, a: IndexedTree):
-        self.registry_i: dict[int, ReplayNode] = {}
-        self.registry_j: dict[int, ReplayNode] = {}
         self.virtual = ReplayNode(None, tag=(0, 1 << 60))
-        root = self._copy(a, a.root)
-        root.parent = self.virtual
-        self.virtual.children = [root]
-        self.registry_j[0] = self.virtual
-
-    def _copy(self, a: IndexedTree, i: int) -> ReplayNode:
-        node = ReplayNode(a.labels[i], a.edge_labels[i])
-        node.children = [self._copy(a, c) for c in a.children[i]]
-        for c in node.children:
-            c.parent = node
-        self.registry_i[i] = node
-        return node
+        # Slot 0 is the virtual root, the parent of node a.root.
+        nodes = [self.virtual] + [ReplayNode(a.labels[i], a.edge_labels[i])
+                                  for i in range(1, a.n + 1)]
+        for i in range(1, a.n + 1):
+            nodes[i].children = [nodes[c] for c in a.children[i]]
+            nodes[i].parent = nodes[a.parent[i]]
+        self.virtual.children = [nodes[a.root]]
+        self.registry_i = {i: nodes[i] for i in range(1, a.n + 1)}
+        self.registry_j = {0: self.virtual}
 
     def take_i(self, i: int) -> ReplayNode:
         return self.registry_i.pop(i)
@@ -228,14 +223,11 @@ class ReplayContext:
         return start, max(end_seen, start)
 
     def result(self) -> LabeledTree:
+        """The replayed tree; its nodes are the working copy's own."""
         if len(self.virtual.children) != 1:
             raise MalformedIndexError(
                 f"replay left {len(self.virtual.children)} top-level trees")
-        def to_tree(w: ReplayNode) -> TreeNode:
-            node = TreeNode(w.label, w.edge_label)
-            node.children = [to_tree(c) for c in w.children]
-            return node
-        return LabeledTree(to_tree(self.virtual.children[0]))
+        return LabeledTree(self.virtual.children[0])
 
 
 def replay_script(a: IndexedTree, script: EditScript) -> LabeledTree:

@@ -16,7 +16,7 @@ from .cost_models import CostModel
 from .edit_distance import DPTables, InternalError, Mapping, extract_script, zs_distance
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, decompose
-from .tree_model import IndexedTree, LabeledTree, build_rep_b, build_rep_c, build_rep_d, index
+from .tree_model import IndexedTree, build_rep_b, build_rep_c, build_rep_d, index
 
 
 class ColorSetMismatchError(ValueError):
@@ -35,10 +35,15 @@ class ColorAssignment:
 
 @dataclass
 class ColoredRepB:
-    """A per-base tree whose node origins carry the element color."""
+    """An indexed per-base tree and the element color of each node.
 
-    tree: LabeledTree
+    ``colors[i]`` is the color of postorder node i (index 0 unused), None
+    where the coarse pass left the node's element uncolored.
+    """
+
+    tree: IndexedTree
     token: tuple
+    colors: list
 
 
 def _element_of_coarse_node(tree: IndexedTree, node: int,
@@ -69,8 +74,10 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
     if rep not in ("c", "d"):
         raise ValueError("coarse pass expects representation 'c' or 'd'")
     ga, gb = decompose(a), decompose(b)
-    build = build_rep_c if rep == "c" else build_rep_d
-    ta, tb = index(build(ga)), index(build(gb))
+    if rep == "c":
+        ta, tb = index(build_rep_c(a)), index(build_rep_c(b))
+    else:
+        ta, tb = index(build_rep_d(ga)), index(build_rep_d(gb))
     _, state = fusion_dp(ta, tb, m, p)
     _, mapping = extract_fusion_script(state)
 
@@ -99,35 +106,31 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
 
 def color_rep_b(s: SecondaryStructure, colors: dict[int, int],
                 token: tuple) -> ColoredRepB:
-    """Record each node's element color in its origin: ``(origin, color)``."""
+    """Index the per-base tree and color each node by its element."""
     owner = decompose(s).element_of_base()
-    tree = build_rep_b(s)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        origin = node.origin
-        element = owner[origin[1]] if origin and origin[0] in ("base", "pair") else 0
-        node.origin = (origin, colors.get(element))
-        stack.extend(node.children)
-    return ColoredRepB(tree, token)
+    tree = index(build_rep_b(s))
+    node_colors: list = [None] * (tree.n + 1)
+    for i in range(1, tree.n + 1):
+        origin = tree.nodes[i].origin
+        element = owner[origin[1]] if origin[0] in ("base", "pair") else 0
+        node_colors[i] = colors.get(element)
+    return ColoredRepB(tree, token, node_colors)
 
 
 def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
               m: CostModel) -> tuple[float, Mapping, DPTables]:
     """Color-restricted per-base distance; only same-color nodes map.
 
-    The colors recorded in the node origins go to ``zs_distance`` as
-    label-class data, so a match across colors, or with an uncolored
-    node, is never priced.
+    The node colors go to ``zs_distance`` as label-class data, so a match
+    across colors, or with an uncolored node, is never priced.
     """
     if a_colored.token != b_colored.token:
         raise ColorSetMismatchError(
             f"colorings come from different coarse passes: "
             f"{a_colored.token} vs {b_colored.token}")
-    ta, tb = index(a_colored.tree), index(b_colored.tree)
-    color_a = [None] + [ta.nodes[i].origin[1] for i in range(1, ta.n + 1)]
-    color_b = [None] + [tb.nodes[j].origin[1] for j in range(1, tb.n + 1)]
-    distance, tables = zs_distance(ta, tb, m, colors=(color_a, color_b))
+    color_a, color_b = a_colored.colors, b_colored.colors
+    distance, tables = zs_distance(a_colored.tree, b_colored.tree, m,
+                                   colors=(color_a, color_b))
     _, mapping = extract_script(tables)
     for i, j in mapping:
         if color_a[i] is None or color_a[i] != color_b[j]:

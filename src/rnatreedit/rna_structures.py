@@ -310,16 +310,12 @@ def decompose(s: SecondaryStructure) -> ElementGraph:
     children: dict[int, list[tuple[int, int]]] = {}
 
     helix_by_outer: dict[int, int] = {}
-    helix_ids: list[int] = []
     # Element 0 is reserved for the exterior region; helices come next.
-    next_id = 1
-    for run in helix_runs:
+    for eid, run in enumerate(helix_runs, start=1):
         bases = tuple(sorted([b for p in run for b in p]))
         elements.append(StructureElement(
-            ElementKind.HELIX, next_id, bases, (len(run),), tuple(run)))
-        helix_by_outer[run[0][0]] = next_id
-        helix_ids.append(next_id)
-        next_id += 1
+            ElementKind.HELIX, eid, bases, (len(run),), tuple(run)))
+        helix_by_outer[run[0][0]] = eid
 
     def scan_region(lo: int, hi: int) -> tuple[list[int], list[int], list[int]]:
         """Split [lo, hi] into unpaired gaps and child helix openings.
@@ -345,9 +341,14 @@ def decompose(s: SecondaryStructure) -> ElementGraph:
         gaps.append(run)
         return gaps, unpaired, kids
 
-    def loop_for(helix_el: StructureElement) -> int:
-        nonlocal next_id
-        inner_i, inner_j = helix_el.pairs[-1]
+    ext_gaps, ext_unpaired, top_kids = scan_region(0, s.length - 1)
+    children[0] = []
+    # (helix, loop it hangs below), popped in preorder so that loop ids
+    # are preorder numbers with siblings 5'-to-3'.
+    stack = [(h, 0) for h in reversed(top_kids)]
+    while stack:
+        helix, parent = stack.pop()
+        inner_i, inner_j = elements[helix - 1].pairs[-1]
         gaps, unpaired, kids = scan_region(inner_i + 1, inner_j - 1)
         if not kids:
             kind, sizes = ElementKind.HAIRPIN, (len(unpaired),)
@@ -359,18 +360,12 @@ def decompose(s: SecondaryStructure) -> ElementGraph:
                 kind, sizes = ElementKind.BULGE, (left, right)
         else:
             kind, sizes = ElementKind.MULTILOOP, tuple(gaps)
-        eid = next_id
-        next_id += 1
+        eid = len(elements) + 1
         elements.append(StructureElement(kind, eid, tuple(unpaired), sizes))
-        children[eid] = [(h, loop_for(elements[h - 1])) for h in kids]
-        return eid
-
-    ext_gaps, ext_unpaired, top_kids = scan_region(0, s.length - 1)
-    exterior = StructureElement(ElementKind.EXTERIOR, 0, tuple(ext_unpaired),
-                                tuple(ext_gaps))
-    children[0] = [(h, loop_for(elements[h - 1])) for h in top_kids]
-    elements.insert(0, exterior)
-    # Re-number nothing: element indices are stable; exterior slot is 0 and
-    # helix i sits at list position i.
-    by_index = sorted(elements, key=lambda e: e.index)
-    return ElementGraph(s, by_index, children, root=0)
+        children[parent].append((helix, eid))
+        children[eid] = []
+        stack.extend((h, eid) for h in reversed(kids))
+    elements.insert(0, StructureElement(ElementKind.EXTERIOR, 0, tuple(ext_unpaired),
+                                        tuple(ext_gaps)))
+    # Element ids equal list positions: exterior 0, helices, then loops.
+    return ElementGraph(s, elements, children, root=0)

@@ -59,13 +59,18 @@ class TreeNode:
         self.children.append(child)
         return self
 
-    def walk(self) -> Iterator["TreeNode"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+def walk(root) -> Iterator:
+    """Preorder over any node with ``.children``, by an explicit stack.
+
+    A node's children are read when the walk resumes after yielding it,
+    so the caller may fill or replace them first.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -77,16 +82,19 @@ class LabeledTree:
     source_id: str = ""
 
     def size(self) -> int:
-        return self.root.size()
+        return sum(1 for _ in walk(self.root))
 
 
-def trees_equal(a: TreeNode, b: TreeNode) -> bool:
-    """Label-level isomorphism of ordered trees (node and edge labels)."""
-    if a.label != b.label or a.edge_label != b.edge_label:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(trees_equal(x, y) for x, y in zip(a.children, b.children))
+def trees_equal(a, b) -> bool:
+    """Label-level isomorphism of ordered trees (node and edge labels).
+
+    An ordered tree is fixed by its preorder with child counts, so the two
+    walks are compared node by node; a walk cannot end early while the
+    counts agree.
+    """
+    return all((x.label, x.edge_label, len(x.children))
+               == (y.label, y.edge_label, len(y.children))
+               for x, y in zip(walk(a), walk(b)))
 
 
 @dataclass
@@ -187,62 +195,54 @@ def index(t: LabeledTree) -> IndexedTree:
 
 def build_rep_b(s: SecondaryStructure) -> LabeledTree:
     """Per-base tree: internal node per base pair, leaf per unpaired base."""
-    table = s.partner()
-
-    def region(lo: int, hi: int) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        pos = lo
-        while pos <= hi:
-            j = table[pos]
-            if j < 0:
-                out.append(TreeNode(Label(s.sequence[pos]), origin=("base", pos)))
-                pos += 1
-            else:
-                node = TreeNode(Label(f"{s.sequence[pos]}-{s.sequence[j]}"),
-                                origin=("pair", pos, j))
-                node.children = region(pos + 1, j - 1)
-                out.append(node)
-                pos = j + 1
-        return out
-
     root = TreeNode(ROOT_LABEL, origin=("root",))
-    root.children = region(0, s.length - 1)
+    open_pairs = [root]
+    for pos, j in enumerate(s.partner()):
+        if j < 0:
+            open_pairs[-1].children.append(
+                TreeNode(Label(s.sequence[pos]), origin=("base", pos)))
+        elif j > pos:
+            node = TreeNode(Label(f"{s.sequence[pos]}-{s.sequence[j]}"),
+                            origin=("pair", pos, j))
+            open_pairs[-1].children.append(node)
+            open_pairs.append(node)
+        else:
+            open_pairs.pop()
     return LabeledTree(root, "b", s.id)
 
 
-def build_rep_c(g: ElementGraph) -> LabeledTree:
+def build_rep_c(s: SecondaryStructure) -> LabeledTree:
     """Run tree: one node per maximal unpaired run or stacked-pair run."""
-    s = g.structure
     table = s.partner()
-
-    def runs(lo: int, hi: int) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        pos = lo
-        while pos <= hi:
-            j = table[pos]
-            if j < 0:
-                start = pos
-                while pos <= hi and table[pos] < 0:
-                    pos += 1
-                out.append(TreeNode(Label("run", (pos - start,)),
-                                    origin=("run", start, pos - 1)))
-            else:
-                height = 1
-                inner_i, inner_j = pos, j
-                while table[inner_i + 1] == inner_j - 1 and inner_i + 1 < inner_j - 1:
-                    inner_i += 1
-                    inner_j -= 1
-                    height += 1
-                node = TreeNode(Label("stack", (height,)),
-                                origin=("stack", pos, j))
-                node.children = runs(inner_i + 1, inner_j - 1)
-                out.append(node)
-                pos = j + 1
-        return out
-
     root = TreeNode(ROOT_LABEL, origin=("root",))
-    root.children = runs(0, s.length - 1) if s.length else [
-        TreeNode(Label("run", (0,)), origin=("run", 0, -1))]
+    # (stack node, inner closing base ending its region, resume position)
+    open_stacks = [(root, s.length, s.length)]
+    pos = 0
+    while open_stacks:
+        parent, close, resume = open_stacks[-1]
+        if pos == close:
+            open_stacks.pop()
+            pos = resume
+        elif table[pos] < 0:
+            start = pos
+            while pos < close and table[pos] < 0:
+                pos += 1
+            parent.children.append(TreeNode(Label("run", (pos - start,)),
+                                            origin=("run", start, pos - 1)))
+        else:
+            j = table[pos]
+            height = 1
+            inner_i, inner_j = pos, j
+            while table[inner_i + 1] == inner_j - 1 and inner_i + 1 < inner_j - 1:
+                inner_i += 1
+                inner_j -= 1
+                height += 1
+            node = TreeNode(Label("stack", (height,)), origin=("stack", pos, j))
+            parent.children.append(node)
+            open_stacks.append((node, inner_j, j + 1))
+            pos = inner_i + 1
+    if not s.length:
+        root.children.append(TreeNode(Label("run", (0,)), origin=("run", 0, -1)))
     return LabeledTree(root, "c", s.id)
 
 
@@ -258,32 +258,30 @@ _KIND_NAMES = {
 def build_rep_d(g: ElementGraph) -> LabeledTree:
     """Element tree: loops as nodes, helices as edge labels."""
 
-    def build(eid: int) -> TreeNode:
+    def loop_node(eid: int, edge_label: Optional[Label], origin: tuple) -> TreeNode:
         el = g.elements[eid]
-        kind = _KIND_NAMES[el.kind]
-        label = ROOT_LABEL if el.kind is ElementKind.EXTERIOR else Label(kind, el.sizes)
-        node = TreeNode(label, origin=("element", eid))
-        for helix_id, inner in g.children.get(eid, []):
-            helix = g.elements[helix_id]
-            child = build(inner)
-            child.edge_label = Label("helix", helix.sizes)
-            child.origin = ("element", inner, "helix", helix_id)
-            node.add(child)
-        return node
+        label = ROOT_LABEL if el.kind is ElementKind.EXTERIOR else Label(
+            _KIND_NAMES[el.kind], el.sizes)
+        return TreeNode(label, edge_label, origin=origin)
 
-    return LabeledTree(build(g.root), "d", g.structure.id)
+    root = loop_node(g.root, None, ("element", g.root))
+    for node in walk(root):
+        node.children = [loop_node(inner, Label("helix", g.elements[helix_id].sizes),
+                                   ("element", inner, "helix", helix_id))
+                         for helix_id, inner in g.children.get(node.origin[1], [])]
+    return LabeledTree(root, "d", g.structure.id)
 
 
 def build_rep_e(g: ElementGraph) -> LabeledTree:
     """Multiloop skeleton: Rep-D with internal loops and bulges contracted.
 
     Contracted helices concatenate; the merged edge size is the sum of the
-    contracted helix sizes plus the contracted loop sizes.
+    contracted helix sizes plus the contracted loop sizes.  The Rep-D tree
+    is contracted in place.
     """
     rep_d = build_rep_d(g)
-
-    def contract(node: TreeNode) -> TreeNode:
-        out = TreeNode(node.label, node.edge_label, origin=node.origin)
+    for node in walk(rep_d.root):
+        contracted = []
         for child in node.children:
             size = child.edge_label.total
             origin_ids = [child.origin]
@@ -294,26 +292,23 @@ def build_rep_e(g: ElementGraph) -> LabeledTree:
                 size += inner.label.total + nxt.edge_label.total
                 inner = nxt
                 origin_ids.append(inner.origin)
-            built = contract(inner)
-            built.edge_label = Label("helix", (size,))
-            built.origin = ("contracted", tuple(origin_ids))
-            out.add(built)
-        return out
-
-    return LabeledTree(contract(rep_d.root), "e", g.structure.id)
+            inner.edge_label = Label("helix", (size,))
+            inner.origin = ("contracted", tuple(origin_ids))
+            contracted.append(inner)
+        node.children = contracted
+    return LabeledTree(rep_d.root, "e", g.structure.id)
 
 
 def build(s: SecondaryStructure, rep: str) -> LabeledTree:
     """Build the requested encoding ('b', 'c', 'd' or 'e') of a structure."""
     if rep == "b":
         return build_rep_b(s)
-    g = decompose(s)
     if rep == "c":
-        return build_rep_c(g)
+        return build_rep_c(s)
     if rep == "d":
-        return build_rep_d(g)
+        return build_rep_d(decompose(s))
     if rep == "e":
-        return build_rep_e(g)
+        return build_rep_e(decompose(s))
     raise ValueError(f"unknown representation {rep!r}")
 
 
@@ -323,16 +318,26 @@ def build(s: SecondaryStructure, rep: str) -> LabeledTree:
 
 def to_parenthesized(t: LabeledTree) -> str:
     """Compact one-line text form, labels as kind(sizes), edges after '@'."""
-
-    def fmt(node: TreeNode) -> str:
+    parts: list[str] = []
+    left: list[int] = []  # children still to print under each open '['
+    for node in walk(t.root):
         head = str(node.label)
         if node.edge_label is not None:
             head += f"@{node.edge_label}"
-        if not node.children:
-            return head
-        return f"{head}[{' '.join(fmt(c) for c in node.children)}]"
-
-    return fmt(t.root)
+        if node.children:
+            parts.append(head + "[")
+            left.append(len(node.children))
+            continue
+        parts.append(head)
+        # a leaf ends its parent's next child: separate or close upwards
+        while left:
+            left[-1] -= 1
+            if left[-1]:
+                parts.append(" ")
+                break
+            left.pop()
+            parts.append("]")
+    return "".join(parts)
 
 
 _DOT_SHAPES = {
@@ -348,20 +353,13 @@ def to_dot(t: LabeledTree, name: str = "tree") -> str:
     """Graphviz text; node ids are ``name`` plus the preorder number and
     node shapes follow the element-kind conventions."""
     lines = [f"digraph {name} {{", "  node [fontsize=10];"]
-    counter = 0
-
-    def visit(node: TreeNode, parent_id: Optional[int]) -> None:
-        nonlocal counter
-        nid = counter
-        counter += 1
+    parent_id: dict[TreeNode, int] = {}
+    for nid, node in enumerate(walk(t.root)):
         shape = _DOT_SHAPES.get(node.label.kind, "ellipse")
         lines.append(f'  {name}{nid} [label="{node.label}" shape={shape}];')
-        if parent_id is not None:
+        if node in parent_id:
             edge = f' [label="{node.edge_label}"]' if node.edge_label else ""
-            lines.append(f"  {name}{parent_id} -> {name}{nid}{edge};")
-        for c in node.children:
-            visit(c, nid)
-
-    visit(t.root, None)
+            lines.append(f"  {name}{parent_id[node]} -> {name}{nid}{edge};")
+        parent_id.update(dict.fromkeys(node.children, nid))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,3 +15,12 @@ EDGE_LABELS = [Label("x", (2,))]
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def stack_depth():
+    """Frames on the stack of the caller, for lowering the recursion limit
+    to a few frames above it."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth

@@ -306,14 +306,14 @@ def test_criterion_9_multilevel_restriction():
     assert {owner_b[i] for i in arm_b}.isdisjoint(result.colors.colors_b)
 
     from rnatreedit.multilevel import color_rep_b
-    ta = index(color_rep_b(sa, result.colors.colors_a, result.colors.token).tree)
-    tb = index(color_rep_b(sb, result.colors.colors_b, result.colors.token).tree)
+    ca = color_rep_b(sa, result.colors.colors_a, result.colors.token)
+    cb = color_rep_b(sb, result.colors.colors_b, result.colors.token)
     assert result.fine_mapping
     for i, j in result.fine_mapping:
         # equal colors on every mapped pair
-        assert ta.nodes[i].origin[1] == tb.nodes[j].origin[1] is not None
-        origin_a = ta.nodes[i].origin[0]
-        origin_b = tb.nodes[j].origin[0]
+        assert ca.colors[i] == cb.colors[j] is not None
+        origin_a = ca.tree.nodes[i].origin
+        origin_b = cb.tree.nodes[j].origin
         bases_a = set(origin_a[1:3]) if origin_a[0] in ("base", "pair") else set()
         bases_b = set(origin_b[1:3]) if origin_b[0] in ("base", "pair") else set()
         assert not bases_a & arm_a

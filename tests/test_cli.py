@@ -146,6 +146,72 @@ class TestCompare:
         assert "distance: 0.0" in out
 
 
+class TestMeta:
+    @pytest.mark.parametrize("model", ["unit", "structural"])
+    @pytest.mark.parametrize("command", ["compare", "multilevel"])
+    def test_meta_rep_is_the_rep_option(self, stem_file, capsys, command, model):
+        for rep in "bc":
+            argv = [command, stem_file, stem_file, "--rep", rep, "--model", model]
+            assert main(argv + ["--emit", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["meta"]["rep"] == rep
+            if command == "compare":
+                assert main(argv) == 0
+                (params,) = [ln for ln in capsys.readouterr().out.splitlines()
+                             if ln.startswith("parameters: ")]
+                assert f"rep={rep}" in params[len("parameters: "):].split(", ")
+
+    def test_rep_config_key_refused(self, stem_file, tmp_path, capsys):
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text("model = structural\nrep = zz\n")
+        code = main(["compare", stem_file, stem_file, "--model", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "unknown config keys: rep" in err and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def deep_files(tmp_path_factory):
+    """A 1200-bp helix, and 600 nested 2-bp helices each followed by a
+    1-nt bulge."""
+    folder = tmp_path_factory.mktemp("deep")
+    paths = {}
+    for name, struct in (("helix", "(" * 1200 + "...." + ")" * 1200),
+                         ("bulges", "((." * 600 + "...." + "))" * 600)):
+        seq = "".join({"(": "G", ")": "C", ".": "A"}[c] for c in struct)
+        path = folder / f"{name}.db"
+        path.write_text(f">{name}\n{seq}\n{struct}\n")
+        paths[name] = str(path)
+    return paths
+
+
+class TestDeepInputs:
+    """Nesting depth limits no command: nothing on these paths recurses."""
+
+    def test_helix_compares_at_rep_b(self, deep_files, capsys):
+        helix = deep_files["helix"]
+        assert main(["compare", helix, helix, "--rep", "b", "--l", "0"]) == 0
+        assert capsys.readouterr().out.startswith("distance: 0.0\n")
+
+    def test_helix_multilevel(self, deep_files, capsys):
+        helix = deep_files["helix"]
+        assert main(["multilevel", helix, helix]) == 0
+
+    def test_helix_dot(self, deep_files, capsys):
+        helix = deep_files["helix"]
+        code = main(["compare", helix, helix, "--rep", "b", "--l", "0", "--emit", "dot"])
+        assert code == 0
+        edges = Counter((ln.split()[0][0], ln.split()[2][0])
+                        for ln in capsys.readouterr().out.splitlines() if " -> " in ln)
+        n = 1 + 1200 + 4
+        assert edges[("a", "a")] == edges[("b", "b")] == n - 1
+
+    @pytest.mark.parametrize("rep", ["d", "e"])
+    def test_bulge_chain_compares(self, deep_files, capsys, rep):
+        bulges = deep_files["bulges"]
+        assert main(["compare", bulges, bulges, "--rep", rep, "--l", "1"]) == 0
+        assert capsys.readouterr().out.startswith("distance: 0.0\n")
+
+
 class TestStats:
     def test_counts_for_stem_loop(self, tmp_path, capsys):
         f = tmp_path / "s.db"

@@ -13,9 +13,9 @@ from rnatreedit.edit_distance import (extract_script, replay_script,
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
 from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index,
-                                   trees_equal)
+                                   trees_equal, walk)
 
-from conftest import EDGE_LABELS, NODE_LABELS
+from conftest import EDGE_LABELS, NODE_LABELS, stack_depth
 
 
 def leafy(kind, *kid_kinds):
@@ -332,7 +332,7 @@ class TestSubtreeSharing:
             trees = []
             for _ in range(2):
                 t = random_tree(rng, rng.randint(1, 30), 3)
-                for k, node in enumerate(t.root.walk()):
+                for k, node in enumerate(walk(t.root)):
                     node.label = Label("n", (k,))
                 trees.append(index(t))
             a, b = trees
@@ -370,20 +370,13 @@ def _comb(teeth):
     return index(LabeledTree(root))
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_deep_comb_compares_and_extracts_under_low_recursion_limit():
     # built at the default limit; compared and extracted with only a few
     # frames to spare, fewer than the comb is deep
     a, b = _comb(30), _comb(29)
     m = unit_model()
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 15)
+    sys.setrecursionlimit(stack_depth() + 15)
     try:
         d, tables = zs_distance(a, b, m)
         script, mapping = extract_script(tables)

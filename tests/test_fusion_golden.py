@@ -228,8 +228,8 @@ def test_golden_records_bit_identical():
 
 def test_uncolored_fine_cases_hold_uncolored_nodes():
     for case, a, b, _, _ in uncolored_fine_cases():
-        uncolored = [i for t in (index(a.tree), index(b.tree))
-                     for i in range(1, t.n + 1) if t.nodes[i].origin[1] is None]
+        uncolored = [i for c in (a, b)
+                     for i in range(1, c.tree.n + 1) if c.colors[i] is None]
         assert uncolored, case
 
 

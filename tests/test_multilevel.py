@@ -79,7 +79,7 @@ class TestColorRepB:
     def test_labels_carry_no_color(self):
         _, colors = coarse_pass(CORE_A, CORE_B, "c", MODEL, PARAMS)
         colored = color_rep_b(CORE_A, colors.colors_a, colors.token).tree
-        assert trees_equal(colored.root, build_rep_b(CORE_A).root)
+        assert trees_equal(colored.tree.root, build_rep_b(CORE_A).root)
 
 
 class TestFinePass:
@@ -93,13 +93,11 @@ class TestFinePass:
 
     def test_mapping_never_crosses_colors(self):
         result = multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
-        ta = index(color_rep_b(CORE_A, result.colors.colors_a,
-                               result.colors.token).tree)
-        tb = index(color_rep_b(CORE_B, result.colors.colors_b,
-                               result.colors.token).tree)
+        ca = color_rep_b(CORE_A, result.colors.colors_a, result.colors.token)
+        cb = color_rep_b(CORE_B, result.colors.colors_b, result.colors.token)
         for i, j in result.fine_mapping:
-            assert ta.nodes[i].origin[1] == tb.nodes[j].origin[1]
-            assert ta.nodes[i].origin[1] is not None
+            assert ca.colors[i] == cb.colors[j]
+            assert ca.colors[i] is not None
 
     def test_divergent_hairpins_destroyed_and_never_map(self):
         result = multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
@@ -109,13 +107,11 @@ class TestFinePass:
         arm_b_elements = {gb.element_of_base()[i] for i in ARM_B}
         assert arm_a_elements.isdisjoint(result.colors.colors_a)
         assert arm_b_elements.isdisjoint(result.colors.colors_b)
-        ta = index(color_rep_b(CORE_A, result.colors.colors_a,
-                               result.colors.token).tree)
-        tb = index(color_rep_b(CORE_B, result.colors.colors_b,
-                               result.colors.token).tree)
+        ta = color_rep_b(CORE_A, result.colors.colors_a, result.colors.token).tree
+        tb = color_rep_b(CORE_B, result.colors.colors_b, result.colors.token).tree
 
         def bases_of(t, node):
-            origin = t.nodes[node].origin[0]
+            origin = t.nodes[node].origin
             if origin and origin[0] == "base":
                 return {origin[1]}
             if origin and origin[0] == "pair":
