@@ -15,8 +15,8 @@ from .cost_models import (CostModel, InvalidTError, ValidityReport, named_model,
                           parse_model_config, structural_model, unit_model,
                           validate)
 from .edit_distance import (Delete, DPTables, EditOp, EditScript, Insert,
-                            Relabel, extract_script, replay_script,
-                            validate_mapping, zs_distance)
+                            PreparedTree, Relabel, extract_script, prepare,
+                            replay_script, validate_mapping, zs_distance)
 from .fusion_distance import (EdgeFusion, EdgeSplit, FusionDPState,
                               FusionParams, NodeFusion, NodeSplit,
                               extract_fusion_script, fusion_dp,

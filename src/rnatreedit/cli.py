@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import cost_models
-from .edit_distance import InternalError, extract_script, replay_script, zs_distance
+from .edit_distance import (InternalError, PreparedTree, audit_script, extract_script,
+                            prepare, zs_distance)
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp, path_count_bound
 from .rna_structures import SecondaryStructure, StructureError, parse_ct, parse_dotbracket
-from .tree_model import (IndexedTree, Label, build, index, to_dot, to_parenthesized,
-                         trees_equal)
+from .tree_model import IndexedTree, Label, build, index, to_dot, to_parenthesized
 
 log = logging.getLogger("rnatreedit")
 
@@ -122,10 +122,10 @@ def _compare_pair(a: SecondaryStructure, b: SecondaryStructure,
 
 
 def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostModel,
-                   params: FusionParams, sides: Optional[dict] = None) -> dict:
+                   params: FusionParams) -> dict:
     """Distance, script and mapping of one pair, with the replay audit.
 
-    ``sides`` is a batch run's fusion side cache (see ``fusion_dp``).
+    A batch run passes trees prepared under ``model`` (see ``prepare``).
     """
     started = time.perf_counter()
     if params.cap == 0:
@@ -133,13 +133,11 @@ def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostMode
         script, pairs = extract_script(tables)
         mapping = [([i], [j]) for i, j in sorted(pairs)]
     else:
-        distance, state = fusion_dp(ta, tb, model, params, sides)
+        distance, state = fusion_dp(ta, tb, model, params)
         script, groups = extract_fusion_script(state)
         mapping = [(list(g[0]), list(g[1])) for g in sorted(groups)]
     elapsed = time.perf_counter() - started
-    replayed = replay_script(ta, script)
-    if not trees_equal(replayed.root, tb.tree.root) or script.total_cost != distance:
-        raise InternalError("script replay failed to reproduce the target tree")
+    audit_script(ta, tb, script, distance)
     return {
         "a": ta, "b": tb, "distance": distance, "script": script,
         "mapping": mapping, "elapsed": elapsed,
@@ -148,8 +146,8 @@ def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostMode
 
 def _meta(args: argparse.Namespace, model: cost_models.CostModel,
           inputs: list[str]) -> dict:
-    meta = {"inputs": inputs, "rep": args.rep, "l": args.l,
-            "prune": not args.no_prune, "format": args.format, "seed": args.seed}
+    meta = {"inputs": inputs, "l": args.l, "prune": not args.no_prune,
+            "format": args.format}
     meta.update(model.describe())
     return meta
 
@@ -194,8 +192,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     b = _load_structure(args.inputs[1], args.format, args.pairing)
     result = _compare_pair(a, b, args.rep, model, params)
     counts = result["script"].counts()
+    meta = _meta(args, model, args.inputs) | {"rep": args.rep}
     payload = {
-        "meta": _meta(args, model, args.inputs),
+        "meta": meta,
         "distance": result["distance"],
         "operations": counts,
         "script": result["script"].to_json(),
@@ -205,8 +204,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lines.append("operations: " + ", ".join(
         f"{k}={v}" for k, v in sorted(counts.items())) if counts else "operations: none")
     lines.append(f"elapsed: {result['elapsed']:.3f}s")
-    lines.append("parameters: " + ", ".join(
-        f"{k}={v}" for k, v in sorted(_meta(args, model, args.inputs).items())))
+    lines.append("parameters: " + ", ".join(f"{k}={v}" for k, v in sorted(meta.items())))
     _emit(args, payload, lines, _mapping_dot(result))
     return EXIT_OK
 
@@ -244,25 +242,25 @@ def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
     (exit code, ``error<TAB><code>: <reason>``).
 
     The model and params are built once.  Each distinct path is loaded,
-    built and indexed once; a load that fails is kept as its exception,
-    so the file is read once too.  At a fusion cap each tree's sides live
-    in ``fusion_dp``'s side cache, one per role.  A tree and its sides
-    are dropped after the last pair that names them, so memory follows
-    the structures still to come.
+    built, indexed and prepared once; a load that fails is kept as its
+    exception, so the file is read once too.  At a fusion cap each
+    prepared tree keeps its sides, one per role.  A role's side is
+    dropped after the last pair that uses it in that role, and a tree
+    after the last pair that names it, so memory follows the structures
+    still to come.
     """
     model, params = _model_from_args(args), _fusion_params(args)
     last: dict = {}
     for k, (pa, pb) in enumerate(pairs):
         last[pa] = last[pb] = last[pa, True] = last[pb, False] = k
     trees: dict = {}
-    sides: dict = {}
     results = []
 
-    def tree(path: str) -> IndexedTree:
+    def tree(path: str) -> PreparedTree:
         if path not in trees:
             try:
-                trees[path] = index(build(_load_structure(path, args.format, args.pairing),
-                                          args.rep))
+                trees[path] = prepare(index(build(
+                    _load_structure(path, args.format, args.pairing), args.rep)), model)
             except Exception as exc:
                 trees[path] = exc
         found = trees[path]
@@ -272,16 +270,17 @@ def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
 
     for k, (pa, pb) in enumerate(pairs):
         try:
-            result = EXIT_OK, repr(_compare_trees(tree(pa), tree(pb), model, params,
-                                                  sides)["distance"])
+            result = EXIT_OK, repr(_compare_trees(tree(pa), tree(pb), model,
+                                                  params)["distance"])
         except Exception as exc:
             failure = _failure(exc)
             if failure is None:
                 raise
             result = failure[0], f"error\t{failure[0]}: {failure[1]}"
         for path, left in ((pa, True), (pb, False)):
-            if last[path, left] == k:
-                sides.pop((id(trees.get(path)), left), None)
+            found = trees.get(path)
+            if last[path, left] == k and isinstance(found, PreparedTree):
+                found.sides.pop((left, params), None)
         for path in (pa, pb):
             if last[path] == k:
                 trees.pop(path, None)
@@ -345,11 +344,11 @@ def run_verification(model: cost_models.CostModel, rng: random.Random,
     from . import generators, oracle
     failures: list[str] = []
     alphabet = [Label("a"), Label("b")]
-    indexed = [index(t) for n in range(1, exhaustive_max + 1)
-               for t in generators.labeled_trees(n, alphabet)]
+    prepared = [prepare(index(t), model) for n in range(1, exhaustive_max + 1)
+                for t in generators.labeled_trees(n, alphabet)]
     cache = oracle.MappingOracleCache()
-    for a in indexed:
-        for b in indexed:
+    for a in prepared:
+        for b in prepared:
             d, _ = zs_distance(a, b, model)
             ref = cache.distance(a, b, model)
             if d != ref:
@@ -384,8 +383,8 @@ def run_verification(model: cost_models.CostModel, rng: random.Random,
                 f"fusion {to_parenthesized(a.tree)} vs "
                 f"{to_parenthesized(b.tree)}: dp={d} oracle={ref}")
     # metric axioms on sampled trees
-    trees = [index(generators.random_tree(rng, rng.randint(1, 6), 3,
-                                          node_labels, edge_labels))
+    trees = [prepare(index(generators.random_tree(rng, rng.randint(1, 6), 3,
+                                                  node_labels, edge_labels)), model)
              for _ in range(24)]
     report = cost_models.validate(model, _SAMPLE_LABELS)
     if not report.ok:
@@ -457,19 +456,18 @@ def _add_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, default=1, help="consecutive fusion cap (0-3)")
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for sampling")
-
-
 def _add_common(p: argparse.ArgumentParser, inputs: int = 2) -> None:
     """The options of the commands that compare structures."""
     _add_input(p, inputs)
-    p.add_argument("--rep", choices=list("bcde"), default="d",
-                   help="tree representation")
     _add_model(p)
     _add_cap(p)
     p.add_argument("--no-prune", action="store_true",
                    help="disable the node-then-edge fusion pruning rule")
+
+
+def _add_rep(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rep", choices=list("bcde"), default="d",
+                   help="tree representation")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -486,13 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="distance between two structures")
     _add_common(p, inputs=2)
-    _add_seed(p)
+    _add_rep(p)
     _add_output(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("compare-batch", help="compare many pairs from a file")
     p.add_argument("pairs_file", help="file with two structure paths per line")
     _add_common(p, inputs=0)
+    _add_rep(p)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each running a contiguous chunk of the pairs")
     p.set_defaults(func=cmd_compare_batch)
@@ -508,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run oracle cross-checks")
     _add_model(p)
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampling")
     p.add_argument("--max-nodes", type=int, default=5,
                    help="exhaustive enumeration size (hard limit 8)")
     p.add_argument("--samples", type=int, default=200,
@@ -517,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multilevel", help="two-pass colored comparison")
     _add_common(p, inputs=2)
-    _add_seed(p)
     _add_output(p)
     p.add_argument("--coarse-rep", choices=["c", "d"], default="c",
                    help="representation for the coarse pass")

@@ -5,19 +5,19 @@ postorder-indexed trees: an outer loop over keyroot pairs, a transient
 forest table per pair, and a persistent subtree-distance table.  Node and
 incoming edge are priced together as one object.
 
-Each tree's (node label, edge label) pairs are interned into label
-classes, and the model prices one class-by-class match table, one call
-per distinct pair of classes; the forest passes and the extraction read
-that table.  Given node colors, a class is a label pair plus a color,
-and a class pair whose colors differ or are missing holds ``inf``
-without being priced, so its nodes never match.  What a pass needs of
-T' (insert costs, prefix columns, leftmost-path flags, classes) is built
-once per keyroot of T', and what it needs of T (delete costs, treedist
-rows, match-table rows, forest rows) once per keyroot of T, so the inner
-loops only index lists.  A cell's candidates (delete, insert, then match
-or decomposition) are compared in that order with strict ``<``, so ties
-resolve as ``min`` resolves them and the tables are the same floats, bit
-for bit, as a cell-by-cell ``min`` gives.
+``prepare`` interns a tree's (node label, edge label) pairs, plus colors
+when given, into label classes and prices them, once per tree.  Per
+pair the model prices one class-by-class match table, one call per
+distinct pair of classes; the forest passes and the extraction read
+that table.  A class pair whose colors differ or are missing holds
+``inf`` without being priced, so its nodes never match.  What a pass
+needs of T' (insert costs, prefix columns, leftmost-path flags, classes)
+is built once per keyroot of T', and what it needs of T (delete costs,
+treedist rows, match-table rows, forest rows) once per keyroot of T, so
+the inner loops only index lists.  A cell's candidates (delete, insert,
+then match or decomposition) are compared in that order with strict
+``<``, so ties resolve as ``min`` resolves them and the tables are the
+same floats, bit for bit, as a cell-by-cell ``min`` gives.
 
 A pass depends only on the labels and shapes of its two subtrees, and
 RNA trees repeat small subtrees (most keyroots of a per-base tree are
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .cost_models import CostModel, LabelPair
-from .tree_model import IndexedTree, InternalError, Label, LabeledTree
+from .tree_model import IndexedTree, InternalError, Label, LabeledTree, trees_equal
 
 
 class MalformedIndexError(InternalError):
@@ -238,41 +238,55 @@ def replay_script(a: IndexedTree, script: EditScript) -> LabeledTree:
     return ctx.result()
 
 
+def audit_script(a: IndexedTree, b: IndexedTree, script: EditScript,
+                 distance: float) -> None:
+    """The replay audit: the script must rebuild T' from T at ``distance``."""
+    replayed = replay_script(a, script)
+    if not trees_equal(replayed.root, b.tree.root) or script.total_cost != distance:
+        raise InternalError("script replay failed to reproduce the target tree")
+
+
 # ---------------------------------------------------------------------------
 # Distance
+
+
+@dataclass
+class PreparedTree(IndexedTree):
+    """An indexed tree ready for comparison under one cost model (see
+    ``prepare``), so it goes wherever an ``IndexedTree`` goes.
+
+    Per node (index 0 unused) its label class and prices; per class its
+    (label pair, color) key; ``twins`` maps each keyroot whose subtree
+    equals an earlier keyroot's to that one.  ``sides`` holds the fusion
+    sides built on the tree, keyed by (left, params), left true for T.
+    """
+
+    model: CostModel
+    cls: list[int]
+    keys: list[tuple[LabelPair, object]]
+    del_costs: list[float]
+    ins_costs: list[float]
+    twins: dict[int, int]
+    sides: dict = field(default_factory=dict)
 
 
 @dataclass
 class DPTables:
     """Persistent subtree-distance table plus what backtracking needs.
 
-    ``class_a``/``class_b`` give each node's label class (its distinct
-    (node label, edge label) pair, plus its color when colors are given)
-    and ``match_table[ca][cb]`` the relabel cost between two classes:
-    ``inf``, never priced, for a pair whose colors differ or are missing.
-    ``cells`` counts the forest-table cells ``zs_distance`` filled, so
-    the passes it left to twin subtrees are not in it.
+    ``match_table[ca][cb]`` is the relabel cost between label class
+    ``ca`` of ``a`` and ``cb`` of ``b``: ``inf``, never priced, for a
+    pair whose colors differ or are missing.  ``cells`` counts the
+    forest-table cells ``zs_distance`` filled, so the passes it left to
+    twin subtrees are not in it.
     """
 
-    a: IndexedTree
-    b: IndexedTree
-    model: CostModel
+    a: PreparedTree
+    b: PreparedTree
     treedist: list[list[float]]
     distance: float
-    del_costs: list[float]
-    ins_costs: list[float]
-    class_a: list[int]
-    class_b: list[int]
     match_table: list[list[float]]
     cells: int = 0
-
-
-def _check_indexed(t: IndexedTree) -> None:
-    if t.n < 1 or len(t.l) != t.n + 1:
-        raise MalformedIndexError("tree index arrays are inconsistent")
-    for i in range(1, t.n + 1):
-        if not (1 <= t.l[i] <= i):
-            raise MalformedIndexError(f"l({i}) = {t.l[i]} out of range")
 
 
 def _warn_unvalidated(m: CostModel) -> None:
@@ -281,74 +295,74 @@ def _warn_unvalidated(m: CostModel) -> None:
                       "the result may not be a distance", stacklevel=3)
 
 
-def _label_classes(t: IndexedTree, colors: list
-                   ) -> tuple[list[int], list[tuple[LabelPair, object]]]:
-    """Class id per node (index 0 unused) and one (pair, color) per class.
+def prepare(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> PreparedTree:
+    """What ``zs_distance`` and ``fusion_dp`` need of tree ``t`` under ``m``.
 
-    Nodes with equal (node label, edge label) pairs and equal colors
-    share a class; ids follow first appearance in postorder.
+    ``colors``, if given, holds one color per node (index 0 unused),
+    ``None`` for an uncolored one.  Nodes with equal label pairs and
+    colors share a class, numbered in order of first appearance; each
+    class is priced once, and as the model is pure, each node gets the
+    float it would get on its own.  Every subtree gets a canonical id,
+    interned in postorder from its root's class and its children's ids,
+    so two subtrees share an id exactly when they have the same shape
+    and labels: a keyroot is a twin of the first keyroot of its id.
     """
+    if t.n < 1 or len(t.l) != t.n + 1:
+        raise MalformedIndexError("tree index arrays are inconsistent")
+    for i in range(1, t.n + 1):
+        if not (1 <= t.l[i] <= i):
+            raise MalformedIndexError(f"l({i}) = {t.l[i]} out of range")
+    colors = colors or [0] * (t.n + 1)
     ids: dict[tuple[LabelPair, object], int] = {}
-    cls = [0] * (t.n + 1)
+    subtrees: dict[tuple, int] = {}
+    cls, sub = [0] * (t.n + 1), [0] * (t.n + 1)
     for i in range(1, t.n + 1):
         cls[i] = ids.setdefault((t.pair(i), colors[i]), len(ids))
-    return cls, list(ids)
-
-
-def _twins(t: IndexedTree, cls: list[int]) -> dict[int, int]:
-    """Each keyroot whose subtree equals an earlier keyroot's -> that one.
-
-    Every subtree gets a canonical id, interned in postorder from its
-    root's label class and its children's ids, so two subtrees share an
-    id exactly when they have the same shape and the same labels.
-    """
-    ids: dict[tuple, int] = {}
-    sub = [0] * (t.n + 1)
-    for k in range(1, t.n + 1):
-        sub[k] = ids.setdefault((cls[k], tuple(sub[c] for c in t.children[k])), len(ids))
+        sub[i] = subtrees.setdefault((cls[i], tuple(sub[c] for c in t.children[i])),
+                                     len(subtrees))
     first: dict[int, int] = {}
     twins = {}
     for k in t.keyroots:
         k0 = first.setdefault(sub[k], k)
         if k0 != k:
             twins[k] = k0
-    return twins
+    dels = [m.cost_del(p) for p, _ in ids]
+    inss = [m.cost_ins(p) for p, _ in ids]
+    return PreparedTree(*(getattr(t, f.name) for f in fields(IndexedTree)), m, cls, list(ids),
+                        [0.0] + [dels[c] for c in cls[1:]], [0.0] + [inss[c] for c in cls[1:]],
+                        twins)
+
+
+def _prepared(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> PreparedTree:
+    """``t``, prepared here unless it was prepared under ``m`` without ``colors``."""
+    if isinstance(t, PreparedTree) and (t.model is not m or colors is not None):
+        raise ValueError("a prepared tree is compared only under the cost model it was "
+                         "prepared with, and with the colors it was prepared with")
+    return t if isinstance(t, PreparedTree) else prepare(t, m, colors)
 
 
 def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel,
                 colors: Optional[tuple[list, list]] = None) -> tuple[float, DPTables]:
     """Tree edit distance over the classical three operations.
 
+    Each tree is an ``IndexedTree`` or a tree ``prepare``d under ``m``.
     ``colors``, if given, holds one color per postorder node of each
-    tree (index 0 unused), ``None`` for an uncolored node.  Two nodes
-    may then match only when their colors are equal and not ``None``;
-    every other class pair holds ``inf`` in the match table and is never
-    priced.
+    ``IndexedTree`` (see ``prepare``).  Two nodes may then match only
+    when their colors are equal and not ``None``; every other class pair
+    holds ``inf`` in the match table and is never priced.
     """
-    _check_indexed(a)
-    _check_indexed(b)
     _warn_unvalidated(m)
-    del1 = [0.0] * (a.n + 1)
-    for i in range(1, a.n + 1):
-        del1[i] = m.cost_del(a.pair(i))
-    ins2 = [0.0] * (b.n + 1)
-    for j in range(1, b.n + 1):
-        ins2[j] = m.cost_ins(b.pair(j))
-    color_a, color_b = colors or ([0] * (a.n + 1), [0] * (b.n + 1))
-    class_a, keys_a = _label_classes(a, color_a)
-    class_b, keys_b = _label_classes(b, color_b)
+    a, b = (_prepared(t, m, c) for t, c in zip((a, b), colors or (None, None)))
     match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
-                    for q, d in keys_b] for p, c in keys_a]
+                    for q, d in b.keys] for p, c in a.keys]
     treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
-    tables = DPTables(a, b, m, treedist, 0.0, del1, ins2,
-                      class_a, class_b, match_table)
+    tables = DPTables(a, b, treedist, 0.0, match_table)
     # Node g of a twin keyroot k corresponds to node g - k + k0 of its
     # first k0: their subtree distances are the same floats.
-    twins_a = _twins(a, class_a)
-    twins_b = _twins(b, class_b)
+    twins_a, twins_b = a.twins, b.twins
     la, lb = a.l, b.l
     columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
-               if j in twins_b else _columns(tables, j) for j in b.keyroots]
+               if j in twins_b else _columns(b, j) for j in b.keyroots]
     for i in a.keyroots:
         i0 = twins_a.get(i)
         if i0 is None:
@@ -363,7 +377,7 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel,
     return tables.distance, tables
 
 
-def _columns(t: DPTables, j: int) -> tuple:
+def _columns(t: PreparedTree, j: int) -> tuple:
     """Column data of every forest pass anchored at T' node j.
 
     For the columns y = 1..j-joff (node gj = y + joff, joff = l(j) - 1):
@@ -372,7 +386,7 @@ def _columns(t: DPTables, j: int) -> tuple:
     j, and the label classes; plus row 0 of the forest table (cumulative
     insert costs, only ever read) and the slice and range of the nodes.
     """
-    lb = t.b.l
+    lb = t.l
     joff = lb[j] - 1
     nodes = range(joff + 1, j + 1)
     span = slice(joff + 1, j + 1)
@@ -382,7 +396,7 @@ def _columns(t: DPTables, j: int) -> tuple:
         row0.append(row0[-1] + cost)
     prefix = [lb[gj] - 1 - joff for gj in nodes]
     on_path = [lb[gj] == lb[j] for gj in nodes]
-    return row0, ins, prefix, on_path, t.class_b[span], span, nodes
+    return row0, ins, prefix, on_path, t.cls[span], span, nodes
 
 
 def _forest_pass(t: DPTables, i: int, cols: list[tuple],
@@ -411,8 +425,8 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
     """
     la = t.a.l
     li = la[i]
-    match_table, class_a = t.match_table, t.class_a
-    rows = [(t.del_costs[gi], t.treedist[gi],
+    match_table, class_a = t.match_table, t.a.cls
+    rows = [(t.a.del_costs[gi], t.treedist[gi],
              match_table[class_a[gi]] if la[gi] == li else None, la[gi] - li)
             for gi in range(li, i + 1)]
     path_rows = [tdi for _, tdi, mrow, _ in rows if mrow is not None]
@@ -479,7 +493,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
     decomposition first at forest cells.
     """
     a, b = tables.a, tables.b
-    class_a, class_b, match_table = tables.class_a, tables.class_b, tables.match_table
+    class_a, class_b, match_table = a.cls, b.cls, tables.match_table
     matches: list[tuple[int, int]] = []
     deletes: list[int] = []
     inserts: list[int] = []
@@ -495,7 +509,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
         ioff = a.l[i] - 1
         joff = b.l[j] - 1
         if fd is None:
-            fd = _forest_pass(tables, i, [_columns(tables, j)], keep=True)
+            fd = _forest_pass(tables, i, [_columns(b, j)], keep=True)
             x, y = i - ioff, j - joff
         while x > 0 or y > 0:
             gi, gj = x + ioff, y + joff
@@ -505,7 +519,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
                     matches.append((gi, gj))
                     x -= 1
                     y -= 1
-                elif fd[x][y] == fd[x - 1][y] + tables.del_costs[gi]:
+                elif fd[x][y] == fd[x - 1][y] + a.del_costs[gi]:
                     deletes.append(gi)
                     x -= 1
                 else:
@@ -518,7 +532,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
                     stack.append((i, j, fd, px, py))
                     stack.append((gi, gj, None, 0, 0))
                     break
-                elif fd[x][y] == fd[x - 1][y] + tables.del_costs[gi]:
+                elif fd[x][y] == fd[x - 1][y] + a.del_costs[gi]:
                     deletes.append(gi)
                     x -= 1
                 else:
@@ -534,9 +548,9 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
     groups = [GroupDecision(i, (), j, (), match_table[class_a[i]][class_b[j]])
               for i, j in matches]
     decisions = Decisions(groups=groups,
-                          plain_deletes=[(d, tables.del_costs[d]) for d in deletes],
-                          plain_inserts=[(v, tables.ins_costs[v]) for v in inserts])
-    script, group_mapping = assemble_script(a, b, tables.model, decisions)
+                          plain_deletes=[(d, a.del_costs[d]) for d in deletes],
+                          plain_inserts=[(v, b.ins_costs[v]) for v in inserts])
+    script, group_mapping = assemble_script(a, b, a.model, decisions)
     mapping: Mapping = {(gi[0], gj[0]) for gi, gj in group_mapping}
     return script, mapping
 

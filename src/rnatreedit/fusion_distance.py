@@ -34,8 +34,8 @@ from typing import Optional
 from .cost_models import CostModel, LabelPair
 from .edit_distance import (Decisions, EditOp, EditScript, GroupDecision,
                             InternalError, MarkInfo, MalformedIndexError,
-                            ReplayContext, ReplayNode, assemble_script,
-                            _warn_unvalidated)
+                            PreparedTree, ReplayContext, ReplayNode,
+                            assemble_script, _prepared, _warn_unvalidated)
 from .tree_model import IndexedTree, Label
 
 # A fusion path is a tuple of marks; each mark is ('u', v) for a node
@@ -143,17 +143,12 @@ class _Side:
     Every pair compared against this side reuses them.
     """
 
-    def __init__(self, tree: IndexedTree, model: CostModel, left: bool,
-                 params: FusionParams):
-        self.t = tree
-        self.model = model
+    def __init__(self, prep: PreparedTree, left: bool, params: FusionParams):
+        self.t = prep
+        self.model = model = prep.model
         self.left = left
-        pair = tree.pair
-        price = model.cost_del if left else model.cost_ins
-        self.price_pair = price
-        self.cost1 = [0.0] * (tree.n + 1)
-        for i in range(1, tree.n + 1):
-            self.cost1[i] = price(pair(i))
+        self.price_pair = model.cost_del if left else model.cost_ins
+        self.cost1 = prep.del_costs if left else prep.ins_costs
         self.prefix = list(accumulate(self.cost1))
         self.fuse_node = model.cost_node_fusion if left else model.cost_node_split
         self.fuse_edge = model.cost_edge_fusion if left else model.cost_edge_split
@@ -343,22 +338,19 @@ class FusionDPState:
 
 
 def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
-              p: FusionParams = FusionParams(),
-              sides: Optional[dict] = None) -> tuple[float, FusionDPState]:
+              p: FusionParams = FusionParams()) -> tuple[float, FusionDPState]:
     """Distance over all seven operations with fusion paths capped at p.cap.
 
-    ``sides`` is an optional cache owned by the caller.  It belongs to one
-    model and one params, which every call sharing it must pass.  It keeps
-    each tree's side per role under ``(id(tree), left)``, so a tree compared
-    again is neither closed nor budget-checked again, and a B side keeps
-    the match rows priced against it.  An entry holds its tree, so the id
-    cannot be reused while the entry lives; the caller drops the entries
-    it no longer needs.
+    Each tree is an ``IndexedTree`` or a tree ``prepare``d under ``m``.
+    A side built on a prepared tree is kept in its ``sides``, so the tree
+    compared again in the same role is neither closed nor budget-checked
+    again, and a B side keeps the match rows priced against it.
     """
     _warn_unvalidated(m)
-    state = FusionDPState(a, b, m, p)
-    state.side_a = _side(a, m, True, p, sides)
-    state.side_b = _side(b, m, False, p, sides)
+    pa, pb = _prepared(a, m), _prepared(b, m)
+    state = FusionDPState(pa, pb, m, p)
+    state.side_a = _side(pa, True, p, keep=pa is a)
+    state.side_b = _side(pb, False, p, keep=pb is b)
     state.memo = _fill(state.side_a, state.side_b)
     # The unfused root is the only state that takes n removals to empty,
     # so it has a class of its own, numbered last: the root pair is the
@@ -367,16 +359,16 @@ def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
     return state.distance, state
 
 
-def _side(tree: IndexedTree, m: CostModel, left: bool, p: FusionParams,
-          sides: Optional[dict]) -> _Side:
-    """The tree's side in one role, taken from ``sides`` when it is there."""
-    key = (id(tree), left)
-    side = sides.get(key) if sides is not None else None
+def _side(t: PreparedTree, left: bool, p: FusionParams, keep: bool) -> _Side:
+    """The tree's side in one role, from its ``sides`` once built.  A side
+    refers to its tree, so it is kept only on a tree the caller prepared
+    (``keep``): one prepared here would be left in a reference cycle."""
+    side = t.sides.get((left, p))
     if side is None:
-        side = _Side(tree, m, left, p)
+        side = _Side(t, left, p)
         _check_path_budget(side, p.cap)
-        if sides is not None:
-            sides[key] = side
+        if keep:
+            t.sides[left, p] = side
     return side
 
 

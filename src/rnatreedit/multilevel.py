@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cost_models import CostModel
-from .edit_distance import DPTables, InternalError, Mapping, extract_script, zs_distance
+from .edit_distance import (DPTables, InternalError, Mapping, audit_script, extract_script,
+                            zs_distance)
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, decompose
 from .tree_model import IndexedTree, build_rep_b, build_rep_c, build_rep_d, index
@@ -122,7 +123,8 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
     """Color-restricted per-base distance; only same-color nodes map.
 
     The node colors go to ``zs_distance`` as label-class data, so a match
-    across colors, or with an uncolored node, is never priced.
+    across colors, or with an uncolored node, is never priced.  The
+    script passes the replay audit.
     """
     if a_colored.token != b_colored.token:
         raise ColorSetMismatchError(
@@ -131,7 +133,8 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
     color_a, color_b = a_colored.colors, b_colored.colors
     distance, tables = zs_distance(a_colored.tree, b_colored.tree, m,
                                    colors=(color_a, color_b))
-    _, mapping = extract_script(tables)
+    script, mapping = extract_script(tables)
+    audit_script(tables.a, tables.b, script, distance)
     for i, j in mapping:
         if color_a[i] is None or color_a[i] != color_b[j]:
             raise InternalError("optimal mapping crossed a color boundary")

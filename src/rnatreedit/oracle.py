@@ -91,16 +91,23 @@ def valid_mapping_skeletons(a: IndexedTree, b: IndexedTree
 def _cheapest_mapping(a: IndexedTree, b: IndexedTree, m: CostModel,
                       skeletons_of: Callable[[IndexedTree, IndexedTree], list]
                       ) -> float:
-    """Cheapest of ``skeletons_of(a, b)``, each node pair priced once."""
+    """Cheapest of ``skeletons_of(a, b)``, each distinct label pair priced once."""
     if a.n > MAX_ORACLE_NODES or b.n > MAX_ORACLE_NODES:
         raise BudgetExceededError(
             f"mapping oracle limited to {MAX_ORACLE_NODES} nodes")
-    del_costs = [0.0] + [m.cost_del(a.pair(i)) for i in range(1, a.n + 1)]
-    ins_costs = [0.0] + [m.cost_ins(b.pair(j)) for j in range(1, b.n + 1)]
+    ids_a: dict[LabelPair, int] = {}
+    ids_b: dict[LabelPair, int] = {}
+    pair_a = [0] + [ids_a.setdefault(a.pair(i), len(ids_a)) for i in range(1, a.n + 1)]
+    pair_b = [0] + [ids_b.setdefault(b.pair(j), len(ids_b)) for j in range(1, b.n + 1)]
+    del_of = [m.cost_del(p) for p in ids_a]
+    ins_of = [m.cost_ins(q) for q in ids_b]
+    match_of = [[m.cost_match(p, q) for q in ids_b] for p in ids_a]
+    del_costs = [0.0] + [del_of[k] for k in pair_a[1:]]
+    ins_costs = [0.0] + [ins_of[k] for k in pair_b[1:]]
     gain = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
     for i in range(1, a.n + 1):
         for j in range(1, b.n + 1):
-            gain[i][j] = (m.cost_match(a.pair(i), b.pair(j))
+            gain[i][j] = (match_of[pair_a[i]][pair_b[j]]
                           - del_costs[i] - ins_costs[j])
     base = sum(del_costs) + sum(ins_costs)
     best = base

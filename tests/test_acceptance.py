@@ -15,7 +15,7 @@ import time
 import pytest
 
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import extract_script, replay_script, zs_distance
+from rnatreedit.edit_distance import extract_script, prepare, replay_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
@@ -113,7 +113,7 @@ def fusion_suite_results(fusion_suite):
 def test_criterion_1_classical_oracle(unit_trees):
     m = unit_model()
     oracle = MappingOracleCache()
-    everything = [t for n in range(1, 6) for t in unit_trees[n]]
+    everything = [prepare(t, m) for n in range(1, 6) for t in unit_trees[n]]
     for a in everything:
         for b in everything:
             d, _ = zs_distance(a, b, m)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rnatreedit
-from rnatreedit import cli, fusion_distance
+from rnatreedit import cli, edit_distance, fusion_distance, multilevel
 from rnatreedit.cli import main
 from rnatreedit.edit_distance import replay_script
 from rnatreedit.generators import random_structure
@@ -148,17 +148,16 @@ class TestCompare:
 
 class TestMeta:
     @pytest.mark.parametrize("model", ["unit", "structural"])
-    @pytest.mark.parametrize("command", ["compare", "multilevel"])
+    @pytest.mark.parametrize("command", ["compare"])
     def test_meta_rep_is_the_rep_option(self, stem_file, capsys, command, model):
         for rep in "bc":
             argv = [command, stem_file, stem_file, "--rep", rep, "--model", model]
             assert main(argv + ["--emit", "json"]) == 0
             assert json.loads(capsys.readouterr().out)["meta"]["rep"] == rep
-            if command == "compare":
-                assert main(argv) == 0
-                (params,) = [ln for ln in capsys.readouterr().out.splitlines()
-                             if ln.startswith("parameters: ")]
-                assert f"rep={rep}" in params[len("parameters: "):].split(", ")
+            assert main(argv) == 0
+            (params,) = [ln for ln in capsys.readouterr().out.splitlines()
+                         if ln.startswith("parameters: ")]
+            assert f"rep={rep}" in params[len("parameters: "):].split(", ")
 
     def test_rep_config_key_refused(self, stem_file, tmp_path, capsys):
         cfg = tmp_path / "rep.cfg"
@@ -367,9 +366,9 @@ class TestBatch:
         built = []
 
         class Counted(fusion_distance._Side):
-            def __init__(self, tree, model, left, params):
-                built.append((tree, left))
-                super().__init__(tree, model, left, params)
+            def __init__(self, prep, left, params):
+                built.append((prep, left))
+                super().__init__(prep, left, params)
 
         monkeypatch.setattr(fusion_distance, "_Side", Counted)
         paths, pairs_file, _ = batch
@@ -379,6 +378,21 @@ class TestBatch:
         assert Counter((id(tree), left) for tree, left in built) == Counter(
             {(id(tree), left): 1 for tree, left in built})
         assert len(built) == 2 * len(paths)
+
+    def test_each_structure_prepared_once_at_cap_0(self, batch, capsys, monkeypatch):
+        prepared = []
+        prepare = edit_distance.prepare
+
+        def counted(tree, *args):
+            prepared.append(tree)
+            return prepare(tree, *args)
+
+        monkeypatch.setattr(cli, "prepare", counted)
+        monkeypatch.setattr(edit_distance, "prepare", counted)
+        paths, pairs_file, pairs = batch
+        code, _ = _batch_lines(capsys, [pairs_file, "--l", "0"])
+        assert code == 0 and len(pairs) > len(paths)
+        assert len(prepared) == len({id(tree) for tree in prepared}) == len(paths)
 
     def test_each_file_loaded_once(self, batch, capsys, loads):
         paths, pairs_file, _ = batch
@@ -396,9 +410,9 @@ class TestBatch:
         sides = []
 
         class Watched(fusion_distance._Side):
-            def __init__(self, tree, model, left, params):
-                super().__init__(tree, model, left, params)
-                sides.append(((key[to_parenthesized(tree.tree)], left), weakref.ref(self)))
+            def __init__(self, prep, left, params):
+                super().__init__(prep, left, params)
+                sides.append(((key[to_parenthesized(prep.tree)], left), weakref.ref(self)))
 
         calls = []
         dp = fusion_distance.fusion_dp
@@ -440,14 +454,14 @@ class TestBatch:
 
     def test_internal_error_is_one_pair(self, batch, capsys, monkeypatch):
         paths, pairs_file, pairs = batch
-        replay = cli.replay_script
+        replay = edit_distance.replay_script
         calls = []
 
         def broken(ta, script):
             calls.append(None)
             return ta.tree if len(calls) == 2 else replay(ta, script)
 
-        monkeypatch.setattr(cli, "replay_script", broken)
+        monkeypatch.setattr(edit_distance, "replay_script", broken)
         code, lines = _batch_lines(capsys, [pairs_file])
         assert code == 4
         assert len(lines) == len(pairs)
@@ -532,9 +546,25 @@ class TestInternalErrors:
 
 class TestReplayAudit:
     def test_failed_replay_is_internal_error(self, split_files, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "replay_script", lambda ta, script: ta.tree)
+        monkeypatch.setattr(edit_distance, "replay_script", lambda ta, script: ta.tree)
         a, b = split_files
         code = main(["compare", a, b, "--rep", "d", "--l", "1"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal invariant failure: script replay")
+        assert err.count("\n") == 1
+
+    def test_multilevel_fine_script_is_audited(self, split_files, capsys, monkeypatch):
+        extract = multilevel.extract_script
+
+        def dropping(tables):
+            script, mapping = extract(tables)
+            dropped = script.ops.pop()
+            assert dropped.kind == "insert" and dropped.cost > 0
+            return script, mapping
+
+        monkeypatch.setattr(multilevel, "extract_script", dropping)
+        code = main(["multilevel", *split_files])
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("internal invariant failure: script replay")
@@ -570,7 +600,8 @@ class TestOptions:
         ["stats", "{s}", "--seed", "4"], ["validate", "--rep", "b"],
         ["validate", "--l", "7"], ["validate", "--format", "ct"], ["validate", "--seed", "4"],
         ["verify", "--rep", "b"], ["verify", "--l", "1"], ["verify", "--strict-pairs"],
-        ["compare-batch", "{s}", "--seed", "4"]])
+        ["compare-batch", "{s}", "--seed", "4"], ["compare", "{s}", "{s}", "--seed", "4"],
+        ["multilevel", "{s}", "{s}", "--seed", "4"], ["multilevel", "{s}", "{s}", "--rep", "b"]])
     def test_options_a_command_does_not_read_are_refused(self, argv, stem_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([x.format(s=stem_file) for x in argv])

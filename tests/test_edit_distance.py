@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import (extract_script, replay_script,
+from rnatreedit.edit_distance import (extract_script, prepare, replay_script,
                                       validate_mapping, zs_distance)
+from rnatreedit.fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
 from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index,
@@ -172,8 +173,8 @@ class TestColors:
             _, tables = zs_distance(a, b, m, colors=colors)
             assert tables.treedist == plain.treedist
             assert tables.match_table == plain.match_table
-            assert (tables.class_a, tables.class_b, tables.cells) == (
-                plain.class_a, plain.class_b, plain.cells)
+            assert (tables.a.cls, tables.b.cls, tables.cells) == (
+                plain.a.cls, plain.b.cls, plain.cells)
 
     def test_match_priced_only_for_same_color_class_pairs(self, rng):
         base = structural_model(t=0.05)
@@ -196,8 +197,57 @@ class TestColors:
         for i in range(1, a.n + 1):
             for j in range(1, b.n + 1):
                 forbidden = colors[0][i] is None or colors[0][i] != colors[1][j]
-                cost = tables.match_table[tables.class_a[i]][tables.class_b[j]]
+                cost = tables.match_table[tables.a.cls[i]][tables.b.cls[j]]
                 assert (cost == math.inf) == forbidden
+
+
+def _zs_results(tables):
+    script, mapping = extract_script(tables)
+    return tables.distance.hex(), tables.treedist, script.ops, mapping
+
+
+def _fusion_results(state):
+    script, mapping = extract_fusion_script(state)
+    return state.distance.hex(), state.memo, script.ops, mapping
+
+
+class TestPrepared:
+    """A sweep that prepares each tree once gets what fresh preparation
+    on every call gives."""
+
+    @pytest.mark.parametrize("model", [unit_model(t=0.1), structural_model(t=0.05)],
+                             ids=["unit", "structural"])
+    def test_reused_preparation_matches_fresh(self, rng, model):
+        trees = [index(random_tree(rng, rng.randint(1, 10), 3, NODE_LABELS, EDGE_LABELS))
+                 for _ in range(12)]
+        colors = [[None] + [rng.choice((None, 0, 1)) for _ in range(t.n)] for t in trees]
+        plain = [prepare(t, model) for t in trees]
+        colored = [prepare(t, model, c) for t, c in zip(trees, colors)]
+        for x, a in enumerate(trees):
+            for y, b in enumerate(trees):
+                assert (_zs_results(zs_distance(plain[x], plain[y], model)[1])
+                        == _zs_results(zs_distance(a, b, model)[1]))
+                assert (_zs_results(zs_distance(colored[x], colored[y], model)[1])
+                        == _zs_results(zs_distance(a, b, model,
+                                                   colors=(colors[x], colors[y]))[1]))
+                for cap in (1, 2):
+                    p = FusionParams(cap=cap)
+                    assert (_fusion_results(fusion_dp(plain[x], plain[y], model, p)[1])
+                            == _fusion_results(fusion_dp(a, b, model, p)[1]))
+        assert all(len(t.sides) == 4 for t in plain)
+
+    def test_another_model_or_colors_refused(self):
+        t = index(LabeledTree(leafy("A", "B")))
+        m = unit_model()
+        p = prepare(t, m)
+        for call in (lambda: zs_distance(p, t, unit_model()),
+                     lambda: zs_distance(t, p, structural_model()),
+                     lambda: fusion_dp(t, p, unit_model(), FusionParams(cap=1))):
+            with pytest.raises(ValueError, match="only under the cost model it was prepared"):
+                call()
+        with pytest.raises(ValueError, match="with the colors it was prepared with"):
+            zs_distance(p, p, m, colors=([None, 0, 0], [None, 0, 0]))
+        assert zs_distance(p, p, m)[0] == 0.0
 
 
 class TestScript:
