@@ -246,8 +246,8 @@ def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
     exception, so the file is read once too.  At a fusion cap each
     prepared tree keeps its sides, one per role.  A role's side is
     dropped after the last pair that uses it in that role, and a tree
-    after the last pair that names it, so memory follows the structures
-    still to come.
+    after the last pair that names it: for memory only (a side forms no
+    cycle with its tree), which follows the structures still to come.
     """
     model, params = _model_from_args(args), _fusion_params(args)
     last: dict = {}

@@ -240,8 +240,12 @@ def replay_script(a: IndexedTree, script: EditScript) -> LabeledTree:
 
 def audit_script(a: IndexedTree, b: IndexedTree, script: EditScript,
                  distance: float) -> None:
-    """The replay audit: the script must rebuild T' from T at ``distance``."""
-    replayed = replay_script(a, script)
+    """The replay audit: the script must rebuild T' from T at ``distance``
+    (a script that cannot be replayed at all fails it too)."""
+    try:
+        replayed = replay_script(a, script)
+    except (LookupError, ValueError) as exc:
+        raise InternalError(f"script replay failed: {type(exc).__name__}: {exc}") from None
     if not trees_equal(replayed.root, b.tree.root) or script.total_cost != distance:
         raise InternalError("script replay failed to reproduce the target tree")
 
@@ -257,8 +261,9 @@ class PreparedTree(IndexedTree):
 
     Per node (index 0 unused) its label class and prices; per class its
     (label pair, color) key; ``twins`` maps each keyroot whose subtree
-    equals an earlier keyroot's to that one.  ``sides`` holds the fusion
-    sides built on the tree, keyed by (left, params), left true for T.
+    equals an earlier keyroot's to that one.  ``sides`` holds every fusion
+    side built on the tree, keyed by (left, params), left true for T; a
+    side refers to the tree's lists, not to the tree, so forms no cycle.
     """
 
     model: CostModel
@@ -298,8 +303,10 @@ def _warn_unvalidated(m: CostModel) -> None:
 def prepare(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> PreparedTree:
     """What ``zs_distance`` and ``fusion_dp`` need of tree ``t`` under ``m``.
 
-    ``colors``, if given, holds one color per node (index 0 unused),
-    ``None`` for an uncolored one.  Nodes with equal label pairs and
+    Both engines call it on their trees: a tree prepared under ``m`` is
+    returned as it is, and under another model or with ``colors`` raises
+    ``ValueError``.  ``colors``, if given, holds one color per node (index
+    0 unused), ``None`` for an uncolored one.  Nodes with equal label pairs and
     colors share a class, numbered in order of first appearance; each
     class is priced once, and as the model is pure, each node gets the
     float it would get on its own.  Every subtree gets a canonical id,
@@ -307,6 +314,11 @@ def prepare(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> Prep
     so two subtrees share an id exactly when they have the same shape
     and labels: a keyroot is a twin of the first keyroot of its id.
     """
+    if isinstance(t, PreparedTree):
+        if t.model is not m or colors is not None:
+            raise ValueError("a prepared tree is compared only under the cost model it was "
+                             "prepared with, and with the colors it was prepared with")
+        return t
     if t.n < 1 or len(t.l) != t.n + 1:
         raise MalformedIndexError("tree index arrays are inconsistent")
     for i in range(1, t.n + 1):
@@ -333,26 +345,16 @@ def prepare(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> Prep
                         twins)
 
 
-def _prepared(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> PreparedTree:
-    """``t``, prepared here unless it was prepared under ``m`` without ``colors``."""
-    if isinstance(t, PreparedTree) and (t.model is not m or colors is not None):
-        raise ValueError("a prepared tree is compared only under the cost model it was "
-                         "prepared with, and with the colors it was prepared with")
-    return t if isinstance(t, PreparedTree) else prepare(t, m, colors)
-
-
-def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel,
-                colors: Optional[tuple[list, list]] = None) -> tuple[float, DPTables]:
+def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DPTables]:
     """Tree edit distance over the classical three operations.
 
-    Each tree is an ``IndexedTree`` or a tree ``prepare``d under ``m``.
-    ``colors``, if given, holds one color per postorder node of each
-    ``IndexedTree`` (see ``prepare``).  Two nodes may then match only
-    when their colors are equal and not ``None``; every other class pair
-    holds ``inf`` in the match table and is never priced.
+    Each tree goes through ``prepare`` under ``m``; two nodes of trees
+    prepared with colors match only when their colors are equal and not
+    ``None``: every other class pair holds ``inf`` in the match table and
+    is never priced.
     """
     _warn_unvalidated(m)
-    a, b = (_prepared(t, m, c) for t, c in zip((a, b), colors or (None, None)))
+    a, b = prepare(a, m), prepare(b, m)
     match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
                     for q, d in b.keys] for p, c in a.keys]
     treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
@@ -550,7 +552,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
     decisions = Decisions(groups=groups,
                           plain_deletes=[(d, a.del_costs[d]) for d in deletes],
                           plain_inserts=[(v, b.ins_costs[v]) for v in inserts])
-    script, group_mapping = assemble_script(a, b, a.model, decisions)
+    script, group_mapping = assemble_script(a, b, decisions)
     mapping: Mapping = {(gi[0], gj[0]) for gi, gj in group_mapping}
     return script, mapping
 
@@ -620,8 +622,7 @@ class Decisions:
     plain_inserts: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _group_block(a: IndexedTree, model: CostModel, root: int,
-                 marks: tuple[MarkInfo, ...]) -> list[EditOp]:
+def _group_block(a: PreparedTree, root: int, marks: tuple[MarkInfo, ...]) -> list[EditOp]:
     """Fusion ops for one T-side group, displaced deletions first."""
     from .fusion_distance import EdgeFusion, NodeFusion
 
@@ -629,7 +630,7 @@ def _group_block(a: IndexedTree, model: CostModel, root: int,
     for mark in marks:
         if mark.kind == "edge":
             for d in sorted(mark.displaced, reverse=True):
-                ops.append(Delete(cost=model.cost_del(a.pair(d)), node=d))
+                ops.append(Delete(cost=a.del_costs[d], node=d))
             ops.append(EdgeFusion(cost=mark.cost, rep=root, child=mark.child,
                                   node_label=mark.merged_pair[0],
                                   edge_label=mark.merged_pair[1]))
@@ -664,8 +665,7 @@ def _split_block(b: IndexedTree, root: int, marks: tuple[MarkInfo, ...]) -> list
     return ops
 
 
-def assemble_script(a: IndexedTree, b: IndexedTree, model: CostModel,
-                    decisions: Decisions
+def assemble_script(a: PreparedTree, b: IndexedTree, decisions: Decisions
                     ) -> tuple[EditScript, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Order the backtracked decisions into an executable script.
 
@@ -676,9 +676,9 @@ def assemble_script(a: IndexedTree, b: IndexedTree, model: CostModel,
     ops: list[EditOp] = []
 
     for root, marks, _ in sorted(decisions.deleted_groups):
-        ops.extend(_group_block(a, model, root, marks))
+        ops.extend(_group_block(a, root, marks))
     for g in sorted(decisions.groups, key=lambda g: g.i_root):
-        ops.extend(_group_block(a, model, g.i_root, g.i_marks))
+        ops.extend(_group_block(a, g.i_root, g.i_marks))
     for root, marks, cost in sorted(decisions.deleted_groups):
         ops.append(Delete(cost=cost, node=root))
     for node, cost in sorted(decisions.plain_deletes, reverse=True):

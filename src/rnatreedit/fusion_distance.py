@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Optional
 
@@ -35,7 +35,7 @@ from .cost_models import CostModel, LabelPair
 from .edit_distance import (Decisions, EditOp, EditScript, GroupDecision,
                             InternalError, MarkInfo, MalformedIndexError,
                             PreparedTree, ReplayContext, ReplayNode,
-                            assemble_script, _prepared, _warn_unvalidated)
+                            assemble_script, prepare, _warn_unvalidated)
 from .tree_model import IndexedTree, Label
 
 # A fusion path is a tuple of marks; each mark is ('u', v) for a node
@@ -144,7 +144,8 @@ class _Side:
     """
 
     def __init__(self, prep: PreparedTree, left: bool, params: FusionParams):
-        self.t = prep
+        # A view over the tree's lists: a side kept in its ``sides`` forms no cycle.
+        self.t = IndexedTree(*(getattr(prep, f.name) for f in fields(IndexedTree)))
         self.model = model = prep.model
         self.left = left
         self.price_pair = model.cost_del if left else model.cost_ins
@@ -327,30 +328,26 @@ class FusionDPState:
     ``j`` is the cell of ``(side_a.cls[i], side_b.cls[j])``.
     """
 
-    a: IndexedTree
-    b: IndexedTree
-    model: CostModel
-    params: FusionParams
+    a: PreparedTree
+    b: PreparedTree
+    side_a: _Side
+    side_b: _Side
     distance: float = 0.0
     memo: array = field(default_factory=lambda: array("d"))
-    side_a: Optional[_Side] = None
-    side_b: Optional[_Side] = None
 
 
 def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
               p: FusionParams = FusionParams()) -> tuple[float, FusionDPState]:
     """Distance over all seven operations with fusion paths capped at p.cap.
 
-    Each tree is an ``IndexedTree`` or a tree ``prepare``d under ``m``.
-    A side built on a prepared tree is kept in its ``sides``, so the tree
-    compared again in the same role is neither closed nor budget-checked
-    again, and a B side keeps the match rows priced against it.
+    Each tree goes through ``prepare`` under ``m``.  A side is kept in
+    its prepared tree's ``sides``, so the tree compared again in the same
+    role is neither closed nor budget-checked again, and a B side keeps
+    the match rows priced against it.
     """
     _warn_unvalidated(m)
-    pa, pb = _prepared(a, m), _prepared(b, m)
-    state = FusionDPState(pa, pb, m, p)
-    state.side_a = _side(pa, True, p, keep=pa is a)
-    state.side_b = _side(pb, False, p, keep=pb is b)
+    pa, pb = prepare(a, m), prepare(b, m)
+    state = FusionDPState(pa, pb, _side(pa, True, p), _side(pb, False, p))
     state.memo = _fill(state.side_a, state.side_b)
     # The unfused root is the only state that takes n removals to empty,
     # so it has a class of its own, numbered last: the root pair is the
@@ -359,16 +356,14 @@ def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
     return state.distance, state
 
 
-def _side(t: PreparedTree, left: bool, p: FusionParams, keep: bool) -> _Side:
-    """The tree's side in one role, from its ``sides`` once built.  A side
-    refers to its tree, so it is kept only on a tree the caller prepared
-    (``keep``): one prepared here would be left in a reference cycle."""
+def _side(t: PreparedTree, left: bool, p: FusionParams) -> _Side:
+    """The tree's side in one role, from its ``sides`` once built and
+    within the path budget."""
     side = t.sides.get((left, p))
     if side is None:
         side = _Side(t, left, p)
         _check_path_budget(side, p.cap)
-        if keep:
-            t.sides[left, p] = side
+        t.sides[left, p] = side
     return side
 
 
@@ -700,5 +695,4 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
         # fusion path is carried in the next state and resolved at its
         # terminal line.
         stack.extend(reversed(pairs))
-    script, mapping = assemble_script(sa.t, sb.t, state.model, decisions)
-    return script, mapping
+    return assemble_script(state.a, state.b, decisions)

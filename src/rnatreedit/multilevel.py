@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .cost_models import CostModel
 from .edit_distance import (DPTables, InternalError, Mapping, audit_script, extract_script,
-                            zs_distance)
+                            prepare, zs_distance)
 from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from .rna_structures import SecondaryStructure, decompose
 from .tree_model import IndexedTree, build_rep_b, build_rep_c, build_rep_d, index
@@ -71,7 +71,7 @@ def _element_of_coarse_node(tree: IndexedTree, node: int,
 def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
                 m: CostModel, p: FusionParams
                 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], ColorAssignment]:
-    """Fusion comparison of the coarse trees; colors follow the mapping."""
+    """Audited fusion comparison of the coarse trees; colors follow the mapping."""
     if rep not in ("c", "d"):
         raise ValueError("coarse pass expects representation 'c' or 'd'")
     ga, gb = decompose(a), decompose(b)
@@ -79,8 +79,9 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
         ta, tb = index(build_rep_c(a)), index(build_rep_c(b))
     else:
         ta, tb = index(build_rep_d(ga)), index(build_rep_d(gb))
-    _, state = fusion_dp(ta, tb, m, p)
-    _, mapping = extract_fusion_script(state)
+    distance, state = fusion_dp(ta, tb, m, p)
+    script, mapping = extract_fusion_script(state)
+    audit_script(ta, tb, script, distance)
 
     owner_a = ga.element_of_base()
     owner_b = gb.element_of_base()
@@ -122,8 +123,8 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
               m: CostModel) -> tuple[float, Mapping, DPTables]:
     """Color-restricted per-base distance; only same-color nodes map.
 
-    The node colors go to ``zs_distance`` as label-class data, so a match
-    across colors, or with an uncolored node, is never priced.  The
+    Each tree is prepared with its node colors as label-class data, so a
+    match across colors, or with an uncolored node, is never priced.  The
     script passes the replay audit.
     """
     if a_colored.token != b_colored.token:
@@ -131,8 +132,8 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
             f"colorings come from different coarse passes: "
             f"{a_colored.token} vs {b_colored.token}")
     color_a, color_b = a_colored.colors, b_colored.colors
-    distance, tables = zs_distance(a_colored.tree, b_colored.tree, m,
-                                   colors=(color_a, color_b))
+    distance, tables = zs_distance(prepare(a_colored.tree, m, color_a),
+                                   prepare(b_colored.tree, m, color_b), m)
     script, mapping = extract_script(tables)
     audit_script(tables.a, tables.b, script, distance)
     for i, j in mapping:

@@ -384,7 +384,8 @@ class TestBatch:
         prepare = edit_distance.prepare
 
         def counted(tree, *args):
-            prepared.append(tree)
+            if not isinstance(tree, edit_distance.PreparedTree):
+                prepared.append(tree)
             return prepare(tree, *args)
 
         monkeypatch.setattr(cli, "prepare", counted)
@@ -568,6 +569,42 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("internal invariant failure: script replay")
+        assert err.count("\n") == 1
+
+    def test_multilevel_coarse_script_is_audited(self, split_files, capsys, monkeypatch):
+        extract = multilevel.extract_fusion_script
+
+        def dropping(state):
+            script, mapping = extract(state)
+            script.ops.remove(next(op for op in script.ops if op.cost > 0))
+            return script, mapping
+
+        monkeypatch.setattr(multilevel, "extract_fusion_script", dropping)
+        code = main(["multilevel", *split_files])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal invariant failure: script replay")
+        assert err.count("\n") == 1
+
+    def test_script_that_cannot_be_replayed_is_internal_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A script whose op names a node no earlier op created ends in
+        exit 4 and one line, not in the replay's own exception."""
+        a, b = tmp_path / "a.db", tmp_path / "b.db"
+        a.write_text(">a\nGGGGAAAAACCCC\n((((.....))))\n")
+        b.write_text(">b\nGGGGGGAAAACCCCCC\n((((((....))))))\n")
+        extract = cli.extract_script
+
+        def dropping(tables):
+            script, mapping = extract(tables)
+            script.ops.remove(next(op for op in script.ops if op.kind == "insert"))
+            return script, mapping
+
+        monkeypatch.setattr(cli, "extract_script", dropping)
+        code = main(["compare", str(a), str(b), "--rep", "b", "--l", "0"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal invariant failure: script replay failed: KeyError")
         assert err.count("\n") == 1
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import random
 import sys
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -131,21 +133,28 @@ class TestCostCalls:
             assert d == zs_distance(a, b, base)[0]
 
 
+def colored_zs(a, b, m, colors):
+    """ZS between ``a`` and ``b``, each prepared with its node colors."""
+    colors = colors or (None, None)
+    return zs_distance(prepare(a, m, colors[0]), prepare(b, m, colors[1]), m)
+
+
 class TestColors:
-    """With ``colors``, only nodes of equal, present colors may match."""
+    """On trees prepared with colors, only nodes of equal, present colors
+    may match."""
 
     def test_equal_labels_with_different_colors_never_map(self):
         t = index(LabeledTree(leafy("A", "B")))
-        d, tables = zs_distance(t, t, unit_model(), colors=([None, 1, 0], [None, 2, 0]))
+        d, tables = colored_zs(t, t, unit_model(), ([None, 1, 0], [None, 2, 0]))
         assert extract_script(tables)[1] == {(2, 2)}
         assert d == 2.0
 
     def test_uncolored_nodes_never_map(self):
         t = index(LabeledTree(leafy("A", "B")))
-        d, tables = zs_distance(t, t, unit_model(), colors=([None, None, 0], [None, None, 0]))
+        d, tables = colored_zs(t, t, unit_model(), ([None, None, 0], [None, None, 0]))
         assert extract_script(tables)[1] == {(2, 2)}
         assert d == 2.0
-        d, tables = zs_distance(t, t, unit_model(), colors=([None] * 3, [None] * 3))
+        d, tables = colored_zs(t, t, unit_model(), ([None] * 3, [None] * 3))
         assert extract_script(tables)[1] == set()
         assert d == 4.0
 
@@ -156,7 +165,7 @@ class TestColors:
             b = index(random_tree(rng, rng.randint(1, 12), 3, NODE_LABELS, EDGE_LABELS))
             colors = tuple([None] + [rng.choice((None, 0, 1)) for _ in range(t.n)]
                            for t in (a, b))
-            d, tables = zs_distance(a, b, m, colors=colors)
+            d, tables = colored_zs(a, b, m, colors)
             script, mapping = extract_script(tables)
             assert all(colors[0][i] is not None and colors[0][i] == colors[1][j]
                        for i, j in mapping)
@@ -170,7 +179,7 @@ class TestColors:
         b = index(build(random_structure(rng, 60), "b"))
         _, plain = zs_distance(a, b, m)
         for colors in (None, ([None] + [3] * a.n, [None] + [3] * b.n)):
-            _, tables = zs_distance(a, b, m, colors=colors)
+            _, tables = colored_zs(a, b, m, colors)
             assert tables.treedist == plain.treedist
             assert tables.match_table == plain.match_table
             assert (tables.a.cls, tables.b.cls, tables.cells) == (
@@ -189,7 +198,7 @@ class TestColors:
         b = index(build(random_structure(rng, 60), "b"))
         colors = tuple([None] + [rng.choice((None, 0, 1, 2)) for _ in range(t.n)]
                        for t in (a, b))
-        _, tables = zs_distance(a, b, counting, colors=colors)
+        _, tables = colored_zs(a, b, counting, colors)
         keys_a = {(a.pair(i), colors[0][i]) for i in range(1, a.n + 1)}
         keys_b = {(b.pair(j), colors[1][j]) for j in range(1, b.n + 1)}
         assert Counter(seen) == Counter((p, q) for p, c in keys_a for q, d in keys_b
@@ -228,8 +237,7 @@ class TestPrepared:
                 assert (_zs_results(zs_distance(plain[x], plain[y], model)[1])
                         == _zs_results(zs_distance(a, b, model)[1]))
                 assert (_zs_results(zs_distance(colored[x], colored[y], model)[1])
-                        == _zs_results(zs_distance(a, b, model,
-                                                   colors=(colors[x], colors[y]))[1]))
+                        == _zs_results(colored_zs(a, b, model, (colors[x], colors[y]))[1]))
                 for cap in (1, 2):
                     p = FusionParams(cap=cap)
                     assert (_fusion_results(fusion_dp(plain[x], plain[y], model, p)[1])
@@ -246,8 +254,36 @@ class TestPrepared:
             with pytest.raises(ValueError, match="only under the cost model it was prepared"):
                 call()
         with pytest.raises(ValueError, match="with the colors it was prepared with"):
-            zs_distance(p, p, m, colors=([None, 0, 0], [None, 0, 0]))
+            prepare(p, m, [None, 0, 0])
         assert zs_distance(p, p, m)[0] == 0.0
+
+    def test_prepare_is_idempotent(self):
+        t = index(LabeledTree(leafy("A", "B")))
+        m = unit_model()
+        for p in (prepare(t, m), prepare(t, m, [None, 0, 1])):
+            assert prepare(p, m) is p
+            for other in (lambda: prepare(p, unit_model()), lambda: prepare(p, m, [None, 0, 0])):
+                with pytest.raises(ValueError):
+                    other()
+
+    def test_dropped_tree_frees_its_sides_without_the_collector(self, rng):
+        """A kept side forms no reference cycle with its tree: with the
+        collector off, the last reference to a tree compared at cap 1 frees
+        the prepared tree and both its sides, whether the caller prepared it
+        or the engine did."""
+        m = structural_model(t=0.05)
+        t = index(random_tree(rng, 8, 3, NODE_LABELS, EDGE_LABELS))
+        gc.disable()
+        try:
+            for make in (lambda: prepare(t, m), lambda: t):
+                tree = make()
+                _, state = fusion_dp(tree, tree, m, FusionParams(cap=1))
+                assert state.side_a is state.a.sides[True, FusionParams(cap=1)]
+                refs = [weakref.ref(x) for x in (state.a, state.b, state.side_a, state.side_b)]
+                del tree, state
+                assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 class TestScript:
