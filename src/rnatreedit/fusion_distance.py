@@ -18,7 +18,9 @@ state, or both, to a successor on that side alone, so each tree's state
 closure is enumerated up front (``_Side``), in an order where successors
 come first.  States whose transitions are equal, mapped to classes, form
 one class, and so have equal rows: the DP fills one cell per pair of
-classes, bottom-up, as one flat table (``_fill``).  Script extraction
+classes, bottom-up, one row at a time (``_fill``).  Each row is built in
+a list from earlier rows copied out once as lists, then stored into the
+one flat table that is kept.  Script extraction
 walks the real states from the real roots and re-evaluates the lines at
 each cell it visits, so no table of choices is kept.
 """
@@ -71,7 +73,7 @@ class FusionParams:
             raise ValueError(f"fusion cap must be in [0, 3], got {self.cap}")
         if self.cap > 2:
             warnings.warn(f"fusion cap {self.cap} is expensive; "
-                          "expect exponential path bookkeeping", stacklevel=2)
+                          "expect exponential path bookkeeping", stacklevel=3)
 
 
 def path_count_bound(d: int, cap: int) -> int:
@@ -325,7 +327,9 @@ class FusionDPState:
     cell ``c * len(side_b.classes) + d`` holds the distance from every
     state of class ``c`` of ``side_a`` to every state of class ``d`` of
     ``side_b`` (see ``_Side``).  The distance from state ``i`` to state
-    ``j`` is the cell of ``(side_a.cls[i], side_b.cls[j])``.
+    ``j`` is the cell of ``(side_a.cls[i], side_b.cls[j])``.  ``_fill``
+    builds each row as a list, but keeps the table as this array: 8 bytes
+    a cell, where a table of lists would hold a float object per cell.
     """
 
     a: PreparedTree
@@ -388,55 +392,68 @@ def _fill(sa: _Side, sb: _Side) -> array:
     and adds A's fusions and B's splits.  Row 0 and column 0 hold the
     price of removing the other side whole.  Match prices come from the
     B side's match rows (see ``_Side``).
+
+    Each row is built in a list, ``cur``, and stored into the flat table
+    with one slice assignment.  The earlier rows it reads (``rest``; for a
+    forest class ``left`` and ``right``; for a tree class the row of each
+    fusion) are copied out once per row as lists, so a cell reads them by
+    column, with no offset sums and no new float object per read.  Every
+    cell does the same float operations as a fill over the flat table.
     """
     na, nb = len(sa.classes), len(sb.classes)
     table = array("d", [0.0]) * (na * nb)
-    table[:nb] = array("d", [sig[3] for sig in sb.classes])
+    row0 = [sig[3] for sig in sb.classes]
+    table[:nb] = array("d", row0)
+
+    def row(k: int) -> list[float]:
+        return table[k * nb:(k + 1) * nb].tolist() if k else row0
+
     columns, label_pairs, match_rows = sb.columns, sb.label_pairs, sb.match_rows
     cost_match = sb.model.cost_match
     for i in range(1, na):
         tree_a, merged, cost_a, remove_a, rest, left, right, moves = sa.classes[i]
-        base = i * nb
-        table[base] = remove_a
-        rest_a = rest * nb
+        # Every cell but column 0 is overwritten in column order.
+        cur = [remove_a] * nb
+        rest_row = row(rest)
         if not tree_a:
-            left_a, right_a = left * nb, right * nb
+            left_row, right_row = row(left), row(right)
             for j, _, left_b, right_b, rest_b, cost_b, _, _ in columns:
-                best = table[left_a + left_b] + table[right_a + right_b]
-                alt = cost_a + table[rest_a + j]
+                best = left_row[left_b] + right_row[right_b]
+                alt = cost_a + rest_row[j]
                 if alt < best:
                     best = alt
-                alt = cost_b + table[base + rest_b]
+                alt = cost_b + cur[rest_b]
                 if alt < best:
                     best = alt
-                table[base + j] = best
-            continue
-        match_row = match_rows.get(merged)
-        if match_row is None:
-            match_row = [cost_match(merged, pb) for pb in label_pairs]
-            match_rows[merged] = match_row
-        moves_a = [(cost, child * nb) for cost, child in moves]
-        for j, tree_b, left_b, right_b, rest_b, cost_b, label_b, moves_b in columns:
-            # The minimum does not depend on the order of the lines.
-            if tree_b:
-                best = match_row[label_b] + table[rest_a + rest_b]
-                for cost, off in moves_a:
-                    alt = cost + table[off + j]
-                    if alt < best:
-                        best = alt
-                for cost, child in moves_b:
-                    alt = cost + table[base + child]
-                    if alt < best:
-                        best = alt
-            else:
-                best = table[left_b] + table[base + right_b]
-            alt = cost_a + table[rest_a + j]
-            if alt < best:
-                best = alt
-            alt = cost_b + table[base + rest_b]
-            if alt < best:
-                best = alt
-            table[base + j] = best
+                cur[j] = best
+        else:
+            match_row = match_rows.get(merged)
+            if match_row is None:
+                match_row = [cost_match(merged, pb) for pb in label_pairs]
+                match_rows[merged] = match_row
+            moves_a = [(cost, row(child)) for cost, child in moves]
+            for j, tree_b, left_b, right_b, rest_b, cost_b, label_b, moves_b in columns:
+                # The minimum does not depend on the order of the lines.
+                if tree_b:
+                    best = match_row[label_b] + rest_row[rest_b]
+                    for cost, child_row in moves_a:
+                        alt = cost + child_row[j]
+                        if alt < best:
+                            best = alt
+                    for cost, child in moves_b:
+                        alt = cost + cur[child]
+                        if alt < best:
+                            best = alt
+                else:
+                    best = row0[left_b] + cur[right_b]
+                alt = cost_a + rest_row[j]
+                if alt < best:
+                    best = alt
+                alt = cost_b + cur[rest_b]
+                if alt < best:
+                    best = alt
+                cur[j] = best
+        table[i * nb:(i + 1) * nb] = array("d", cur)
     return table
 
 

@@ -302,5 +302,7 @@ class TestParams:
             FusionParams(cap=-1)
 
     def test_high_cap_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             FusionParams(cap=3)
+        # The warning names the caller's line, not the generated __init__.
+        assert [w.filename for w in record] == [__file__]

@@ -320,7 +320,9 @@ def reference_fill(sa, sb):
 def reference_cases():
     """(case id, a, b, model, params): the golden fusion cases plus 40
     seeded pairs, related rep-c and rep-d structures and random trees with
-    edge labels, at caps 1 and 2 with pruning on and off."""
+    edge labels, at caps 1 and 2 with pruning on and off; 8 seeded pairs
+    of related rep-b and rep-c structures at cap 0; and multiloops of
+    degree 4 and 5 at caps 1 and 2, whose tree rows read many move rows."""
     for case, a, b, name, params in fusion_cases():
         yield case, a, b, MODELS[name], params
     rng = random.Random(31)
@@ -337,6 +339,20 @@ def reference_cases():
         name = ("unit", "structural")[k // 4 % 2]
         params = FusionParams(cap=1 + k % 2, prune=k // 2 % 2 == 0)
         yield f"seeded-{k}-{kind}", a, b, MODELS[name], params
+    rng = random.Random(32)
+    for k in range(8):
+        rep = "bc"[k % 2]
+        base = random_structure(rng, rng.randint(30, 60))
+        a, b = (index(build(variant(rng, base), rep)) for _ in range(2))
+        name = ("unit", "structural")[k // 2 % 2]
+        yield f"seeded-cap0-{k}-rep{rep}", a, b, MODELS[name], FusionParams(cap=0)
+    arm = "(((...)))"
+    a = dotbracket("((" + ".".join([arm] * 4) + "))")
+    b = dotbracket("((" + "..".join([arm, "((((....))))", arm, arm, "((...))"]) + "))")
+    a, b = index(build(a, "c")), index(build(b, "c"))
+    for cap in (1, 2):
+        for name in MODELS:
+            yield f"multiloop-cap{cap}-{name}", a, b, MODELS[name], FusionParams(cap=cap)
 
 
 def test_class_table_reproduces_full_table_and_its_choices(monkeypatch):
@@ -352,9 +368,12 @@ def test_class_table_reproduces_full_table_and_its_choices(monkeypatch):
 
     best_line = fusion_distance._best_line
     monkeypatch.setattr(fusion_distance, "_best_line", recorded)
+    most_moves = 0
     for case, a, b, model, params in reference_cases():
         _, state = fusion_dp(a, b, model, params)
         sa, sb = state.side_a, state.side_b
+        assert isinstance(state.memo, array) and state.memo.typecode == "d", case
+        most_moves = max(most_moves, *map(len, sa.moves))
         table, choice = reference_fill(sa, sb)
         nb = len(sb.classes)
         by_class = array("d", [state.memo[ca * nb + cb] for ca in sa.cls for cb in sb.cls])
@@ -364,6 +383,8 @@ def test_class_table_reproduces_full_table_and_its_choices(monkeypatch):
         assert picks, case
         for i, j, line in picks:
             assert line == choice[i * len(sb.states) + j], (case, i, j)
+    # A fusion and an edge fusion per child of a degree-4 multiloop.
+    assert most_moves >= 8
 
 
 if __name__ == "__main__":
