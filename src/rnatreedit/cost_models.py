@@ -167,30 +167,26 @@ def structural_model(t: float = 0.05, cap: bool = False,
         raise ValueError(f"unknown normalization {normalization!r}")
     reduce_sizes = _REDUCERS[normalization]
     kind_penalty = quantize(kind_penalty)
+    missing = quantize(kind_penalty + 1.0)
 
-    def scalar(lbl: Optional[Label]) -> float:
-        return reduce_sizes(lbl.size) if lbl is not None else 0.0
-
+    # The component prices are ``quantize``d, written out in place: they
+    # are the hot path of every DP's match pricing.
     def comp_match(a: Optional[Label], b: Optional[Label]) -> float:
-        if a is None and b is None:
-            return 0.0
         if a is None or b is None:
-            return quantize(kind_penalty + 1.0)
-        sa, sb = scalar(a), scalar(b)
+            return 0.0 if a is b else missing
+        sa, sb = reduce_sizes(a.size), reduce_sizes(b.size)
         size_term = 0.0 if sa == sb else abs(sa - sb) / (sa + sb)
         kind_term = 0.0 if a.kind == b.kind else kind_penalty
-        return quantize(kind_term + size_term)
+        return round((kind_term + size_term) * _GRID) / _GRID
 
     def match(a: LabelPair, b: LabelPair) -> float:
-        if a == b:
-            return 0.0
         return min(comp_match(a[0], b[0]) + comp_match(a[1], b[1]), 1.0)
 
     def comp_del(lbl: Optional[Label]) -> float:
         if lbl is None:
             return 0.0
-        s = scalar(lbl)
-        return quantize(s / (s + _SIZE_SCALE))
+        s = reduce_sizes(lbl.size)
+        return round(s / (s + _SIZE_SCALE) * _GRID) / _GRID
 
     def del_(a: LabelPair) -> float:
         return min(_BASE_DEL + comp_del(a[0]) + comp_del(a[1]), 1.0)

@@ -24,9 +24,16 @@ RNA trees repeat small subtrees (most keyroots of a per-base tree are
 leaves).  Every subtree is interned into a canonical id (its label class
 and its children's ids), and only the first keyroot of each id on each
 side runs passes; a later twin takes its subtree distances from the
-first, offset by their distance in postorder.  ``DPTables.cells`` counts
-the forest cells actually filled.  The table that results is the full
-node-indexed one, the same floats as when every pass runs.
+first, offset by their distance in postorder.  On trees prepared with
+colors, a pass over two subtrees that share no color can match no node,
+so it is not run: each subtree distance it would write is the delete
+price of the one subtree plus the insert price of the other, taken from
+prefix sums.  That is exact, not an estimate, when every price is on the
+2**-32 grid of the built-in models and all of them together stay below
+2**20, as then every order of summation gives the same float; with other
+prices every pass runs.  ``DPTables.cells`` counts the forest cells
+actually filled.  The table that results is the full node-indexed one,
+the same floats as when every pass runs.
 
 This module also owns the edit-operation types, script extraction via
 backtracking, and a mechanical replay engine that applies a script to a
@@ -39,9 +46,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Optional
 
-from .cost_models import CostModel, LabelPair
+from .cost_models import CostModel, LabelPair, quantize
 from .tree_model import IndexedTree, InternalError, Label, LabeledTree, trees_equal
 
 
@@ -283,7 +291,8 @@ class DPTables:
     ``ca`` of ``a`` and ``cb`` of ``b``: ``inf``, never priced, for a
     pair whose colors differ or are missing.  ``cells`` counts the
     forest-table cells ``zs_distance`` filled, so the passes it left to
-    twin subtrees are not in it.
+    twin subtrees, and those it skipped for subtrees that share no color,
+    are not in it.
     """
 
     a: PreparedTree
@@ -324,7 +333,11 @@ def prepare(t: IndexedTree, m: CostModel, colors: Optional[list] = None) -> Prep
     for i in range(1, t.n + 1):
         if not (1 <= t.l[i] <= i):
             raise MalformedIndexError(f"l({i}) = {t.l[i]} out of range")
-    colors = colors or [0] * (t.n + 1)
+    if colors is None:
+        colors = [0] * (t.n + 1)
+    elif len(colors) != t.n + 1:
+        raise ValueError(f"{len(colors)} colors given for a tree of {t.n} nodes: "
+                         f"expected {t.n + 1}, one per node after the unused index 0")
     ids: dict[tuple[LabelPair, object], int] = {}
     subtrees: dict[tuple, int] = {}
     cls, sub = [0] * (t.n + 1), [0] * (t.n + 1)
@@ -351,7 +364,11 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     Each tree goes through ``prepare`` under ``m``; two nodes of trees
     prepared with colors match only when their colors are equal and not
     ``None``: every other class pair holds ``inf`` in the match table and
-    is never priced.
+    is never priced.  The forest pass of a keyroot pair whose subtrees
+    share no color is skipped when the prices allow it exactly (see
+    ``_disjoint_subtrees``); the subtree distances it would have written,
+    delete price plus insert price, are written before the passes of its
+    keyroot of ``a`` run, so twin copies and later passes read them.
     """
     _warn_unvalidated(m)
     a, b = prepare(a, m), prepare(b, m)
@@ -365,18 +382,82 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     la, lb = a.l, b.l
     columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
                if j in twins_b else _columns(b, j) for j in b.keyroots]
+    live_b = [j for j in b.keyroots if j not in twins_b]
+    width = sum(j - lb[j] + 1 for j in live_b)
+    disjoint = _disjoint_subtrees(a, b)
+    if disjoint:
+        mask_a, del_a, mask_b, ins_b = disjoint
+    plans: dict[int, tuple] = {}
     for i in a.keyroots:
+        li = la[i]
         i0 = twins_a.get(i)
-        if i0 is None:
-            _forest_pass(tables, i, columns)
+        if i0 is not None:
+            for gi in range(li, i + 1):
+                if la[gi] == li:
+                    treedist[gi][:] = treedist[gi - i + i0]
             continue
-        for gi in range(la[i], i + 1):
-            if la[gi] == la[i]:
-                treedist[gi][:] = treedist[gi - i + i0]
-    tables.cells = (sum(i - la[i] + 1 for i in a.keyroots if i not in twins_a)
-                    * sum(j - lb[j] + 1 for j in b.keyroots if j not in twins_b))
+        cols, skipped = columns, 0
+        if disjoint:
+            mi = mask_a[i]
+            plan = plans.get(mi)
+            if plan is None:
+                # Per color mask of i: the columns left to run, and the
+                # leftmost-path nodes (with their subtrees' insert prices)
+                # and width of the keyroots j whose subtrees share no color.
+                skip = [j for j in live_b if not mask_b[j] & mi]
+                plan = plans[mi] = (
+                    [col for j, col in zip(b.keyroots, columns)
+                     if j in twins_b or mask_b[j] & mi],
+                    [(gj, ins_b[gj]) for j in skip for gj in range(lb[j], j + 1)
+                     if lb[gj] == lb[j]],
+                    sum(j - lb[j] + 1 for j in skip))
+            cols, path_b, skipped = plan
+            for gi in range(li, i + 1):
+                if la[gi] == li:
+                    d, tdi = del_a[gi], treedist[gi]
+                    for gj, cost in path_b:
+                        tdi[gj] = d + cost
+        _forest_pass(tables, i, cols)
+        tables.cells += (i - li + 1) * (width - skipped)
     tables.distance = treedist[a.n][b.n]
     return tables.distance, tables
+
+
+def _disjoint_subtrees(a: PreparedTree, b: PreparedTree) -> Optional[tuple[list, ...]]:
+    """What ``zs_distance`` needs to skip the passes of subtree pairs that
+    share no color, or ``None`` when it may not or need not skip any.
+
+    A pass over subtrees with no color in common can match no node, so
+    each of its subtree distances is the delete price of the one subtree
+    plus the insert price of the other, whatever the path.  Those sums
+    are the floats the pass would compute only when every order of
+    summation gives the same float: when each price is on the 2**-32 grid
+    of the built-in models and all of them together stay below 2**20.
+    Returns, per node of ``a``, the bits of the colors in its subtree that
+    ``b`` has too, and its subtree's delete price; and the same for ``b``,
+    with insert prices.
+    """
+    colors_a = {c for _, c in a.keys}
+    colors_b = {c for _, c in b.keys}
+    if len(colors_a | colors_b) == 1 and None not in colors_a:
+        return None  # one color on every node: every pass may match
+    prices = a.del_costs + b.ins_costs
+    if not (sum(map(abs, prices)) < 2.0 ** 20
+            and all(quantize(p) == p for p in set(prices))):
+        return None
+    bit = {c: 1 << k for k, c in enumerate((colors_a & colors_b) - {None})}
+    return (*_subtree_sums(a, a.del_costs, bit), *_subtree_sums(b, b.ins_costs, bit))
+
+
+def _subtree_sums(t: PreparedTree, costs: list[float], bit: dict) -> tuple[list, list]:
+    """Per node, the OR of the color bits and the sum of the prices over
+    its subtree, the latter from prefix sums in postorder."""
+    class_bits = [bit.get(c, 0) for _, c in t.keys]
+    mask = [class_bits[k] for k in t.cls]
+    for i in range(1, t.n):
+        mask[t.parent[i]] |= mask[i]
+    prefix = list(accumulate(costs))
+    return mask, [0.0] + [prefix[i] - prefix[t.l[i] - 1] for i in range(1, t.n + 1)]
 
 
 def _columns(t: PreparedTree, j: int) -> tuple:

@@ -124,7 +124,10 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
     """Color-restricted per-base distance; only same-color nodes map.
 
     Each tree is prepared with its node colors as label-class data, so a
-    match across colors, or with an uncolored node, is never priced.  The
+    match across colors, or with an uncolored node, is never priced, and
+    ZS does no DP work on a pair of subtrees that share no color: it
+    writes their distances as delete plus insert prices, which is exact
+    on the cost grid of the built-in models (see ``zs_distance``).  The
     script passes the replay audit.
     """
     if a_colored.token != b_colored.token:

@@ -97,6 +97,57 @@ class TestStructuralModel:
         with pytest.raises(InvalidTError):
             structural_model(t=-0.01)
 
+    @pytest.mark.parametrize("normalization", ["sum", "min", "max", "avg"])
+    def test_prices_equal_the_plain_formulas(self, rng, normalization):
+        """Match and delete prices are the floats of the formulas written
+        with ``quantize`` and an equal-pair shortcut, bit for bit."""
+        kind_penalty = quantize(0.5)
+        reduce_sizes = {"sum": lambda s: float(sum(s)),
+                        "min": lambda s: float(min(s)) if s else 0.0,
+                        "max": lambda s: float(max(s)) if s else 0.0,
+                        "avg": lambda s: sum(s) / len(s) if s else 0.0}[normalization]
+
+        def scalar(lbl):
+            return reduce_sizes(lbl.size) if lbl is not None else 0.0
+
+        def comp_match(a, b):
+            if a is None and b is None:
+                return 0.0
+            if a is None or b is None:
+                return quantize(kind_penalty + 1.0)
+            sa, sb = scalar(a), scalar(b)
+            size_term = 0.0 if sa == sb else abs(sa - sb) / (sa + sb)
+            kind_term = 0.0 if a.kind == b.kind else kind_penalty
+            return quantize(kind_term + size_term)
+
+        def match(a, b):
+            if a == b:
+                return 0.0
+            return min(comp_match(a[0], b[0]) + comp_match(a[1], b[1]), 1.0)
+
+        def comp_del(lbl):
+            if lbl is None:
+                return 0.0
+            s = scalar(lbl)
+            return quantize(s / (s + 4.0))
+
+        def del_(a):
+            return min(0.125 + comp_del(a[0]) + comp_del(a[1]), 1.0)
+
+        def label():
+            if rng.random() < 0.2:
+                return None
+            return Label(rng.choice(("hairpin", "helix", "bulge")),
+                         tuple(rng.randint(0, 12) for _ in range(rng.randint(0, 3))))
+
+        m = structural_model(t=0.05, normalization=normalization)
+        pairs = [(label(), label()) for _ in range(150)]
+        for a in pairs:
+            assert m.cost_del(a).hex() == del_(a).hex()
+            for b in pairs[:40] + [a, (a[0], None), (None, a[1]), (None, None)]:
+                assert m.cost_match(a, b).hex() == match(a, b).hex()
+                assert m.cost_match(b, a).hex() == match(b, a).hex()
+
 
 class TestMerges:
     def test_node_merge_sums_sizes(self):

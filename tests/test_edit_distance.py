@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import sys
@@ -10,8 +11,9 @@ from collections import Counter
 import pytest
 
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import (extract_script, prepare, replay_script,
-                                      validate_mapping, zs_distance)
+from rnatreedit.edit_distance import (DPTables, _columns, _forest_pass, extract_script,
+                                      prepare, replay_script, validate_mapping,
+                                      zs_distance)
 from rnatreedit.fusion_distance import FusionParams, extract_fusion_script, fusion_dp
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
@@ -210,6 +212,101 @@ class TestColors:
                 assert (cost == math.inf) == forbidden
 
 
+def every_pass_zs(a, b, m):
+    """The keyroot loop that runs the forest pass of every non-twin pair,
+    including pairs of subtrees that share no color."""
+    a, b = prepare(a, m), prepare(b, m)
+    match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
+                    for q, d in b.keys] for p, c in a.keys]
+    treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
+    tables = DPTables(a, b, treedist, 0.0, match_table)
+    twins_a, twins_b = a.twins, b.twins
+    la, lb = a.l, b.l
+    columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
+               if j in twins_b else _columns(b, j) for j in b.keyroots]
+    for i in a.keyroots:
+        i0 = twins_a.get(i)
+        if i0 is None:
+            _forest_pass(tables, i, columns)
+            continue
+        for gi in range(la[i], i + 1):
+            if la[gi] == la[i]:
+                treedist[gi][:] = treedist[gi - i + i0]
+    tables.cells = (sum(i - la[i] + 1 for i in a.keyroots if i not in twins_a)
+                    * sum(j - lb[j] + 1 for j in b.keyroots if j not in twins_b))
+    tables.distance = treedist[a.n][b.n]
+    return tables.distance, tables
+
+
+def _colored_tree(rng, n, palette):
+    """A random tree and one color per node: each node keeps its parent's
+    color with probability 3/4, so colors come in subtrees, as the
+    multilevel coloring gives them."""
+    t = index(random_tree(rng, n, 3, NODE_LABELS, EDGE_LABELS))
+    colors = [None] * (t.n + 1)
+    for i in t.preorder():
+        inherit = i != t.root and rng.random() < 0.75
+        colors[i] = colors[t.parent[i]] if inherit else rng.choice(palette)
+    return t, colors
+
+
+def _exact_results(tables):
+    script, mapping = extract_script(tables)
+    return (tables.distance.hex(), [[x.hex() for x in row] for row in tables.treedist],
+            json.dumps(script.to_json()), mapping)
+
+
+class TestDisjointColorSkip:
+    """Passes over subtree pairs that share no color are skipped, and
+    every output stays what running them gives."""
+
+    PALETTE = (None, 0, 1, "stem")
+
+    @pytest.mark.parametrize("model", [unit_model(t=0.1), structural_model(t=0.05),
+                                       unit_model(ins_scale=1.5)],
+                             ids=["unit", "structural", "ins_scale"])
+    @pytest.mark.filterwarnings("ignore:cost model 'unit' has not passed validation")
+    def test_skip_reproduces_every_pass(self, rng, model):
+        skipped = 0
+        for _ in range(60):
+            (a, ca), (b, cb) = (_colored_tree(rng, rng.randint(1, 25), self.PALETTE)
+                                for _ in range(2))
+            _, tables = colored_zs(a, b, model, (ca, cb))
+            _, ref = every_pass_zs(prepare(a, model, ca), prepare(b, model, cb), model)
+            assert _exact_results(tables) == _exact_results(ref)
+            assert tables.cells <= ref.cells
+            skipped += tables.cells < ref.cells
+        assert skipped >= 20
+
+    def test_off_grid_prices_skip_nothing(self, rng):
+        model = dataclasses.replace(unit_model(), del_fn=lambda p: 0.1)
+        for _ in range(30):
+            (a, ca), (b, cb) = (_colored_tree(rng, rng.randint(1, 25), self.PALETTE)
+                                for _ in range(2))
+            _, tables = colored_zs(a, b, model, (ca, cb))
+            _, ref = every_pass_zs(prepare(a, model, ca), prepare(b, model, cb), model)
+            assert _exact_results(tables) == _exact_results(ref)
+            assert tables.cells == ref.cells
+
+    def test_cells_leave_out_the_skipped_pairs(self):
+        rng = random.Random(5)
+        m = structural_model(t=0.05)
+        (a, ca), (b, cb) = (_colored_tree(rng, 40, (None, 0, 1, 2)) for _ in range(2))
+        _, tables = colored_zs(a, b, m, (ca, cb))
+
+        def subtree_colors(t, colors, k):
+            return {colors[g] for g in t.subtree_nodes(k)} - {None}
+
+        live_a = [i for i in a.keyroots if i not in tables.a.twins]
+        live_b = [j for j in b.keyroots if j not in tables.b.twins]
+        skipped = sum(len(a.subtree_nodes(i)) * len(b.subtree_nodes(j))
+                      for i in live_a for j in live_b
+                      if not subtree_colors(a, ca, i) & subtree_colors(b, cb, j))
+        assert skipped > 0
+        assert tables.cells == (sum(len(a.subtree_nodes(i)) for i in live_a)
+                                * sum(len(b.subtree_nodes(j)) for j in live_b) - skipped)
+
+
 def _zs_results(tables):
     script, mapping = extract_script(tables)
     return tables.distance.hex(), tables.treedist, script.ops, mapping
@@ -256,6 +353,13 @@ class TestPrepared:
         with pytest.raises(ValueError, match="with the colors it was prepared with"):
             prepare(p, m, [None, 0, 0])
         assert zs_distance(p, p, m)[0] == 0.0
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_color_list_of_the_wrong_length_refused(self, extra):
+        t = index(random_tree(random.Random(13), 13, 3, NODE_LABELS, EDGE_LABELS))
+        colors = [None] + [0] * (t.n + extra)
+        with pytest.raises(ValueError, match=f"{t.n + 1 + extra} colors .* expected {t.n + 1}"):
+            prepare(t, unit_model(), colors)
 
     def test_prepare_is_idempotent(self):
         t = index(LabeledTree(leafy("A", "B")))
