@@ -19,7 +19,7 @@ from .edit_distance import (Delete, DPTables, EditOp, EditScript, Insert,
                             replay_script, validate_mapping, zs_distance)
 from .fusion_distance import (EdgeFusion, EdgeSplit, FusionDPState,
                               FusionParams, NodeFusion, NodeSplit,
-                              extract_fusion_script, fusion_dp,
+                              compare_trees, extract_fusion_script, fusion_dp,
                               path_count_bound)
 from .rna_structures import (ElementGraph, ElementKind, SecondaryStructure,
                              StructureElement, decompose, emit_ct,

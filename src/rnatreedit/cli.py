@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import random
 import sys
@@ -21,13 +20,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import cost_models
-from .edit_distance import (InternalError, PreparedTree, audit_script, extract_script,
-                            prepare, zs_distance)
-from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp, path_count_bound
+from .edit_distance import InternalError, PreparedTree, prepare, zs_distance
+from .fusion_distance import FusionParams, compare_trees, fusion_dp, path_count_bound
 from .rna_structures import SecondaryStructure, StructureError, parse_ct, parse_dotbracket
-from .tree_model import IndexedTree, Label, build, index, to_dot, to_parenthesized
-
-log = logging.getLogger("rnatreedit")
+from .tree_model import Label, build, index, to_dot, to_parenthesized
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -38,12 +34,6 @@ EXIT_INTERNAL = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("RNATREEDIT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _read_text(path: str) -> str:
@@ -118,29 +108,14 @@ def _failure(exc: Exception) -> Optional[tuple[int, str]]:
 def _compare_pair(a: SecondaryStructure, b: SecondaryStructure,
                   rep: str, model: cost_models.CostModel,
                   params: FusionParams) -> dict:
-    return _compare_trees(index(build(a, rep)), index(build(b, rep)), model, params)
-
-
-def _compare_trees(ta: IndexedTree, tb: IndexedTree, model: cost_models.CostModel,
-                   params: FusionParams) -> dict:
-    """Distance, script and mapping of one pair, with the replay audit.
-
-    A batch run passes trees prepared under ``model`` (see ``prepare``).
-    """
+    """Distance, audited script and group mapping of one pair at its
+    representation (see ``compare_trees``), with the time they took."""
+    ta, tb = index(build(a, rep)), index(build(b, rep))
     started = time.perf_counter()
-    if params.cap == 0:
-        distance, tables = zs_distance(ta, tb, model)
-        script, pairs = extract_script(tables)
-        mapping = [([i], [j]) for i, j in sorted(pairs)]
-    else:
-        distance, state = fusion_dp(ta, tb, model, params)
-        script, groups = extract_fusion_script(state)
-        mapping = [(list(g[0]), list(g[1])) for g in sorted(groups)]
-    elapsed = time.perf_counter() - started
-    audit_script(ta, tb, script, distance)
+    distance, script, mapping, _ = compare_trees(ta, tb, model, params)
     return {
         "a": ta, "b": tb, "distance": distance, "script": script,
-        "mapping": mapping, "elapsed": elapsed,
+        "mapping": mapping, "elapsed": time.perf_counter() - started,
     }
 
 
@@ -270,8 +245,7 @@ def _run_batch(args: argparse.Namespace, pairs: list[tuple[str, str]]
 
     for k, (pa, pb) in enumerate(pairs):
         try:
-            result = EXIT_OK, repr(_compare_trees(tree(pa), tree(pb), model,
-                                                  params)["distance"])
+            result = EXIT_OK, repr(compare_trees(tree(pa), tree(pb), model, params)[0])
         except Exception as exc:
             failure = _failure(exc)
             if failure is None:
@@ -525,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

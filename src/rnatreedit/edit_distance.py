@@ -670,10 +670,10 @@ class MarkInfo:
     """One fusion/split applied to a group root.
 
     ``merged_pair`` is the root's (node, edge) label object after this
-    mark; ``displaced`` lists the subtree nodes deleted by an edge fusion
-    (empty on the T' side, where displaced nodes are plain inserts);
-    ``identity`` is the T'-side node whose data the merged object carries
-    after this mark (unused on the T side).
+    mark; ``displaced`` lists the sibling subtree nodes an edge mark
+    displaces (deleted before the fusion on the T side, plain inserts on
+    the T' side); ``identity`` is the T'-side node whose data the merged
+    object carries after this mark (unused on the T side).
     """
 
     kind: str  # 'node' or 'edge'

@@ -23,6 +23,10 @@ a list from earlier rows copied out once as lists, then stored into the
 one flat table that is kept.  Script extraction
 walks the real states from the real roots and re-evaluates the lines at
 each cell it visits, so no table of choices is kept.
+
+``compare_trees`` is the one comparison path of the package: it picks
+the engine from the cap (ZS at cap 0, this DP above it), extracts the
+script and mapping and audits the script.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from itertools import accumulate
 from typing import Optional
 
 from .cost_models import CostModel, LabelPair
-from .edit_distance import (Decisions, EditOp, EditScript, GroupDecision,
+from .edit_distance import (Decisions, DPTables, EditOp, EditScript, GroupDecision,
                             InternalError, MarkInfo, MalformedIndexError,
                             PreparedTree, ReplayContext, ReplayNode,
-                            assemble_script, prepare, _warn_unvalidated)
+                            assemble_script, audit_script, extract_script, prepare,
+                            zs_distance, _warn_unvalidated)
 from .tree_model import IndexedTree, Label
 
 # A fusion path is a tuple of marks; each mark is ('u', v) for a node
@@ -314,10 +319,6 @@ class _Side:
         return tuple(x for x in range(a, b + 1)
                      if x not in holes and not lo <= x <= hi)
 
-    def forest_members(self, state: tuple) -> list[int]:
-        _, a, b, holes = state
-        return [x for x in range(a, b + 1) if x not in holes]
-
 
 @dataclass
 class FusionDPState:
@@ -347,10 +348,15 @@ def fusion_dp(a: IndexedTree, b: IndexedTree, m: CostModel,
     Each tree goes through ``prepare`` under ``m``.  A side is kept in
     its prepared tree's ``sides``, so the tree compared again in the same
     role is neither closed nor budget-checked again, and a B side keeps
-    the match rows priced against it.
+    the match rows priced against it.  The DP does not read colors, so a
+    tree prepared with colors raises ``ValueError``: only ZS restricts
+    matches by color (``compare_trees`` at cap 0).
     """
     _warn_unvalidated(m)
     pa, pb = prepare(a, m), prepare(b, m)
+    if any(color != 0 for t in (pa, pb) for _, color in t.keys):
+        raise ValueError("the fusion DP does not read colors: color restriction "
+                         "needs cap 0, where ZS compares the trees")
     state = FusionDPState(pa, pb, _side(pa, True, p), _side(pb, False, p))
     state.memo = _fill(state.side_a, state.side_b)
     # The unfused root is the only state that takes n removals to empty,
@@ -674,19 +680,11 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
             plain.append((key[1] if key[0] == "t" else key[2], side.rcost[sid]))
 
     def spill(side: _Side, sid: int, plain: list, grouped: list) -> None:
-        """Record removing a whole state (the opposite side is empty)."""
+        """Record removing a whole state (the opposite side is empty), one
+        rightmost root at a time."""
         while sid:
-            key = side.states[sid]
-            if key[0] == "f":
-                members = side.forest_members(key)
-            elif not key[2]:
-                members = side.t.subtree_nodes(key[1])
-            else:
-                record_removal(side, sid, plain, grouped)
-                sid = side.rest[sid]
-                continue
-            plain.extend((x, side.cost1[x]) for x in members)
-            return
+            record_removal(side, sid, plain, grouped)
+            sid = side.rest[sid]
 
     stack = [(len(sa.states) - 1, len(sb.states) - 1)]
     while stack:
@@ -713,3 +711,29 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
         # terminal line.
         stack.extend(reversed(pairs))
     return assemble_script(state.a, state.b, decisions)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+
+def compare_trees(a: IndexedTree, b: IndexedTree, m: CostModel,
+                  p: FusionParams = FusionParams()
+                  ) -> tuple[float, EditScript, GroupMapping, DPTables | FusionDPState]:
+    """Distance, audited script, sorted group mapping and DP state of T and T'.
+
+    At cap 0 the distance is the classical one, which ZS computes faster
+    than the fusion DP (the two agree bit for bit); each mapped pair is
+    then a group of one node on each side.  Above cap 0 the fusion DP
+    runs.  Either way the script must pass the replay audit on the DP's
+    prepared trees, or ``InternalError`` is raised.
+    """
+    if p.cap == 0:
+        distance, dp = zs_distance(a, b, m)
+        script, pairs = extract_script(dp)
+        mapping = [((i,), (j,)) for i, j in pairs]
+    else:
+        distance, dp = fusion_dp(a, b, m, p)
+        script, mapping = extract_fusion_script(dp)
+    audit_script(dp.a, dp.b, script, distance)
+    return distance, script, sorted(mapping), dp

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cost_models import CostModel
-from .edit_distance import (DPTables, InternalError, Mapping, audit_script, extract_script,
-                            prepare, zs_distance)
-from .fusion_distance import FusionParams, extract_fusion_script, fusion_dp
+from .edit_distance import DPTables, InternalError, Mapping, prepare
+from .fusion_distance import FusionParams, GroupMapping, compare_trees
 from .rna_structures import SecondaryStructure, decompose
 from .tree_model import IndexedTree, build_rep_b, build_rep_c, build_rep_d, index
 
@@ -69,9 +68,10 @@ def _element_of_coarse_node(tree: IndexedTree, node: int,
 
 
 def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
-                m: CostModel, p: FusionParams
-                ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], ColorAssignment]:
-    """Audited fusion comparison of the coarse trees; colors follow the mapping."""
+                m: CostModel, p: FusionParams) -> tuple[GroupMapping, ColorAssignment]:
+    """Audited comparison of the coarse trees under ``p`` (see
+    ``compare_trees``); colors follow the group mapping, which lists the
+    groups top down, in the preorder of their T roots."""
     if rep not in ("c", "d"):
         raise ValueError("coarse pass expects representation 'c' or 'd'")
     ga, gb = decompose(a), decompose(b)
@@ -79,16 +79,14 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
         ta, tb = index(build_rep_c(a)), index(build_rep_c(b))
     else:
         ta, tb = index(build_rep_d(ga)), index(build_rep_d(gb))
-    distance, state = fusion_dp(ta, tb, m, p)
-    script, mapping = extract_fusion_script(state)
-    audit_script(ta, tb, script, distance)
+    _, _, mapping, _ = compare_trees(ta, tb, m, p)
 
     owner_a = ga.element_of_base()
     owner_b = gb.element_of_base()
     token = (a.id or "a", b.id or "b", rep, m.name, m.t, p.cap)
     assignment = ColorAssignment(token)
     color = 0
-    for group_a, group_b in sorted(mapping):
+    for group_a, group_b in mapping:
         els_a: set[int] = set()
         els_b: set[int] = set()
         for node in group_a:
@@ -103,7 +101,9 @@ def coarse_pass(a: SecondaryStructure, b: SecondaryStructure, rep: str,
             assignment.colors_b.setdefault(e, color)
         color += 1
     assignment.n_colors = color
-    return mapping, assignment
+    # A group's root is its largest postorder id.
+    pre = {node: k for k, node in enumerate(ta.preorder())}
+    return sorted(mapping, key=lambda g: pre[g[0][-1]]), assignment
 
 
 def color_rep_b(s: SecondaryStructure, colors: dict[int, int],
@@ -123,22 +123,23 @@ def fine_pass(a_colored: ColoredRepB, b_colored: ColoredRepB,
               m: CostModel) -> tuple[float, Mapping, DPTables]:
     """Color-restricted per-base distance; only same-color nodes map.
 
-    Each tree is prepared with its node colors as label-class data, so a
-    match across colors, or with an uncolored node, is never priced, and
-    ZS does no DP work on a pair of subtrees that share no color: it
-    writes their distances as delete plus insert prices, which is exact
-    on the cost grid of the built-in models (see ``zs_distance``).  The
-    script passes the replay audit.
+    Each tree is prepared with its node colors as label-class data and
+    compared at cap 0 (``compare_trees``, so by ZS), so a match across
+    colors, or with an uncolored node, is never priced, and ZS does no DP
+    work on a pair of subtrees that share no color: it writes their
+    distances as delete plus insert prices, which is exact on the cost
+    grid of the built-in models (see ``zs_distance``).  The script passes
+    the replay audit.
     """
     if a_colored.token != b_colored.token:
         raise ColorSetMismatchError(
             f"colorings come from different coarse passes: "
             f"{a_colored.token} vs {b_colored.token}")
     color_a, color_b = a_colored.colors, b_colored.colors
-    distance, tables = zs_distance(prepare(a_colored.tree, m, color_a),
-                                   prepare(b_colored.tree, m, color_b), m)
-    script, mapping = extract_script(tables)
-    audit_script(tables.a, tables.b, script, distance)
+    distance, _, groups, tables = compare_trees(prepare(a_colored.tree, m, color_a),
+                                                prepare(b_colored.tree, m, color_b), m,
+                                                FusionParams(cap=0))
+    mapping = {(i, j) for (i,), (j,) in groups}
     for i, j in mapping:
         if color_a[i] is None or color_a[i] != color_b[j]:
             raise InternalError("optimal mapping crossed a color boundary")

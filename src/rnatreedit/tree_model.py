@@ -75,11 +75,9 @@ def walk(root) -> Iterator:
 
 @dataclass
 class LabeledTree:
-    """A rooted ordered tree tagged with the encoding it came from."""
+    """A rooted ordered tree."""
 
     root: TreeNode
-    rep: str = "generic"
-    source_id: str = ""
 
     def size(self) -> int:
         return sum(1 for _ in walk(self.root))
@@ -208,7 +206,7 @@ def build_rep_b(s: SecondaryStructure) -> LabeledTree:
             open_pairs.append(node)
         else:
             open_pairs.pop()
-    return LabeledTree(root, "b", s.id)
+    return LabeledTree(root)
 
 
 def build_rep_c(s: SecondaryStructure) -> LabeledTree:
@@ -243,7 +241,7 @@ def build_rep_c(s: SecondaryStructure) -> LabeledTree:
             pos = inner_i + 1
     if not s.length:
         root.children.append(TreeNode(Label("run", (0,)), origin=("run", 0, -1)))
-    return LabeledTree(root, "c", s.id)
+    return LabeledTree(root)
 
 
 _KIND_NAMES = {
@@ -269,7 +267,7 @@ def build_rep_d(g: ElementGraph) -> LabeledTree:
         node.children = [loop_node(inner, Label("helix", g.elements[helix_id].sizes),
                                    ("element", inner, "helix", helix_id))
                          for helix_id, inner in g.children.get(node.origin[1], [])]
-    return LabeledTree(root, "d", g.structure.id)
+    return LabeledTree(root)
 
 
 def build_rep_e(g: ElementGraph) -> LabeledTree:
@@ -296,7 +294,7 @@ def build_rep_e(g: ElementGraph) -> LabeledTree:
             inner.origin = ("contracted", tuple(origin_ids))
             contracted.append(inner)
         node.children = contracted
-    return LabeledTree(rep_d.root, "e", g.structure.id)
+    return rep_d
 
 
 def build(s: SecondaryStructure, rep: str) -> LabeledTree:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rnatreedit
-from rnatreedit import cli, edit_distance, fusion_distance, multilevel
+from rnatreedit import cli, edit_distance, fusion_distance
 from rnatreedit.cli import main
 from rnatreedit.edit_distance import replay_script
 from rnatreedit.generators import random_structure
@@ -423,7 +423,7 @@ class TestBatch:
             return dp(*args)
 
         monkeypatch.setattr(fusion_distance, "_Side", Watched)
-        monkeypatch.setattr(cli, "fusion_dp", watching)
+        monkeypatch.setattr(fusion_distance, "fusion_dp", watching)
         assert _batch_lines(capsys, [pairs_file, "--l", "1"])[0] == 0
         assert len(calls) == len(pairs)
         for k, alive in enumerate(calls):
@@ -506,12 +506,14 @@ class TestInternalErrors:
         assert err.count("\n") == 1 and text in err
 
     def test_corrupt_fusion_table(self, split_files, capsys, monkeypatch):
+        dp = fusion_distance.fusion_dp
+
         def corrupted(*args):
-            distance, state = fusion_distance.fusion_dp(*args)
+            distance, state = dp(*args)
             state.memo[-1] += 0.25
             return distance, state
 
-        monkeypatch.setattr(cli, "fusion_dp", corrupted)
+        monkeypatch.setattr(fusion_distance, "fusion_dp", corrupted)
         a, b = split_files
         code = main(["compare", a, b, "--rep", "d", "--l", "1"])
         self._assert_internal(code, capsys, "does not reproduce")
@@ -527,7 +529,7 @@ class TestInternalErrors:
         def too_deep(*args):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "zs_distance", too_deep)
+        monkeypatch.setattr(fusion_distance, "zs_distance", too_deep)
         a, b = split_files
         code = main(["compare", a, b, "--rep", "b", "--l", "0"])
         self._assert_internal(code, capsys, "recursion limit reached")
@@ -536,7 +538,7 @@ class TestInternalErrors:
         def exhausted(*args):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "fusion_dp", exhausted)
+        monkeypatch.setattr(fusion_distance, "fusion_dp", exhausted)
         a, b = split_files
         code = main(["compare", a, b, "--rep", "d", "--l", "1"])
         err = capsys.readouterr().err
@@ -556,7 +558,7 @@ class TestReplayAudit:
         assert err.count("\n") == 1
 
     def test_multilevel_fine_script_is_audited(self, split_files, capsys, monkeypatch):
-        extract = multilevel.extract_script
+        extract = fusion_distance.extract_script
 
         def dropping(tables):
             script, mapping = extract(tables)
@@ -564,7 +566,7 @@ class TestReplayAudit:
             assert dropped.kind == "insert" and dropped.cost > 0
             return script, mapping
 
-        monkeypatch.setattr(multilevel, "extract_script", dropping)
+        monkeypatch.setattr(fusion_distance, "extract_script", dropping)
         code = main(["multilevel", *split_files])
         err = capsys.readouterr().err
         assert code == 4
@@ -572,14 +574,14 @@ class TestReplayAudit:
         assert err.count("\n") == 1
 
     def test_multilevel_coarse_script_is_audited(self, split_files, capsys, monkeypatch):
-        extract = multilevel.extract_fusion_script
+        extract = fusion_distance.extract_fusion_script
 
         def dropping(state):
             script, mapping = extract(state)
             script.ops.remove(next(op for op in script.ops if op.cost > 0))
             return script, mapping
 
-        monkeypatch.setattr(multilevel, "extract_fusion_script", dropping)
+        monkeypatch.setattr(fusion_distance, "extract_fusion_script", dropping)
         code = main(["multilevel", *split_files])
         err = capsys.readouterr().err
         assert code == 4
@@ -593,14 +595,14 @@ class TestReplayAudit:
         a, b = tmp_path / "a.db", tmp_path / "b.db"
         a.write_text(">a\nGGGGAAAAACCCC\n((((.....))))\n")
         b.write_text(">b\nGGGGGGAAAACCCCCC\n((((((....))))))\n")
-        extract = cli.extract_script
+        extract = fusion_distance.extract_script
 
         def dropping(tables):
             script, mapping = extract(tables)
             script.ops.remove(next(op for op in script.ops if op.kind == "insert"))
             return script, mapping
 
-        monkeypatch.setattr(cli, "extract_script", dropping)
+        monkeypatch.setattr(fusion_distance, "extract_script", dropping)
         code = main(["compare", str(a), str(b), "--rep", "b", "--l", "0"])
         err = capsys.readouterr().err
         assert code == 4
@@ -680,13 +682,13 @@ def test_closed_stdout_ends_quietly(tmp_path):
 
 def test_cli_import_loads_only_what_compare_batch_runs():
     """`import rnatreedit.cli` leaves the process pool, the oracles, the
-    generators and multilevel unloaded; the package exports still resolve
-    and are listed by dir() and ``import *``."""
+    generators, multilevel and logging unloaded; the package exports still
+    resolve and are listed by dir() and ``import *``."""
     code = """
 import sys
 import rnatreedit.cli
 print(sorted(m for m in ("concurrent.futures.process", "rnatreedit.oracle",
-                         "rnatreedit.multilevel", "rnatreedit.generators")
+                         "rnatreedit.multilevel", "rnatreedit.generators", "logging")
              if m in sys.modules))
 import rnatreedit
 lazy = ("multilevel_compare", "coarse_pass", "mapping_oracle", "SearchBudget")

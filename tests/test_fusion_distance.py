@@ -2,15 +2,16 @@ import pytest
 
 from rnatreedit import fusion_distance
 from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import (MalformedIndexError, replay_script,
-                                      zs_distance)
+from rnatreedit.edit_distance import (MalformedIndexError, prepare, replay_script,
+                                      validate_mapping, zs_distance)
 from rnatreedit.fusion_distance import (FusionParams, PathBudgetExceededError,
-                                        extract_fusion_script, fusion_dp,
-                                        path_count_bound)
+                                        compare_trees, extract_fusion_script,
+                                        fusion_dp, path_count_bound)
 from rnatreedit.generators import random_tree
 from rnatreedit.oracle import SearchBudget, script_search_oracle
+from rnatreedit.rna_structures import parse_dotbracket
 from rnatreedit.tree_model import (Label, LabeledTree, ROOT_LABEL, TreeNode,
-                                   index, trees_equal)
+                                   build, index, trees_equal, walk)
 
 from conftest import EDGE_LABELS, NODE_LABELS
 
@@ -248,6 +249,138 @@ class TestScripts:
         state.memo[-1] += 0.25
         with pytest.raises(MalformedIndexError, match="does not reproduce"):
             extract_fusion_script(state)
+
+
+class TestColors:
+    @staticmethod
+    def rep_b_pair():
+        return (index(build(parse_dotbracket(f"GGGAAACCCAGGGAAACCC\n{s}"), "b"))
+                for s in ("(((...))).(((...)))", "((.....)).(((...)))"))
+
+    def test_fusion_dp_refuses_colored_trees(self):
+        """The fusion DP does not read colors, so it refuses a colored tree
+        rather than return the uncolored distance."""
+        m = structural_model()
+        a, b = self.rep_b_pair()
+        pa, pb = prepare(a, m, [1] * (a.n + 1)), prepare(b, m, [2] * (b.n + 1))
+        assert zs_distance(pa, pb, m)[0] == 3.625
+        assert fusion_dp(a, b, m, FusionParams(cap=0))[0] == 0.375
+        for cap in (0, 1):
+            with pytest.raises(ValueError, match="color restriction needs cap 0"):
+                fusion_dp(pa, pb, m, FusionParams(cap=cap))
+            with pytest.raises(ValueError, match="color restriction needs cap 0"):
+                fusion_dp(a, pb, m, FusionParams(cap=cap))
+
+    def test_compare_trees_at_cap_0_restricts_colors(self):
+        m = structural_model()
+        a, b = self.rep_b_pair()
+        d, script, mapping, _ = compare_trees(prepare(a, m, [1] * (a.n + 1)),
+                                              prepare(b, m, [2] * (b.n + 1)), m,
+                                              FusionParams(cap=0))
+        assert d == script.total_cost == 3.625 and mapping == []
+
+
+H1, H4 = Label("helix", (1,)), Label("helix", (4,))
+HAIRPIN, BULGE, MULTI = Label("hairpin", (3,)), Label("bulge", (2,)), Label("multiloop", (5,))
+I9, X2 = NODE_LABELS[1], EDGE_LABELS[0]
+SCALED = unit_model(cap=True, ins_scale=1.5, del_scale=1.5)
+
+
+class TestExtractionPaths:
+    """One pinned pair per extraction and replay path that random pairs
+    rarely reach (each pair was found by a seeded random search).  The
+    script must replay at the distance and the group mapping be valid."""
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        """compare_trees at cap 1, also returning the decisions extracted."""
+        recorded = []
+        assemble = fusion_distance.assemble_script
+
+        def recording(a, b, decisions):
+            recorded.append(decisions)
+            return assemble(a, b, decisions)
+
+        monkeypatch.setattr(fusion_distance, "assemble_script", recording)
+
+        def run(ta, tb, m):
+            a, b = index(LabeledTree(ta)), index(LabeledTree(tb))
+            d, script, mapping, _ = compare_trees(a, b, m, FusionParams(cap=1))
+            assert script.total_cost == d
+            replayed = replay_script(a, script).root
+            assert trees_equal(replayed, b.tree.root)
+            assert all(c.parent is n for n in walk(replayed) for c in n.children)
+            members_a = [x for g, _ in mapping for x in g]
+            members_b = [y for _, h in mapping for y in h]
+            assert len(set(members_a)) == len(members_a)
+            assert len(set(members_b)) == len(members_b)
+            # a group's root is its largest postorder id
+            assert validate_mapping(a, b, {(g[-1], h[-1]) for g, h in mapping})
+            return a, b, script, recorded[-1]
+
+        return run
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_forest_removed_root_by_root(self, compare, reverse):
+        """Against a lone root, every other node is removed from a forest
+        state, one rightmost root at a time."""
+        pair = (mk(ROOT_LABEL, None, mk(MULTI, H1, mk(HAIRPIN, H1), mk(BULGE, H4)),
+                   mk(HAIRPIN, H4)),
+                mk(ROOT_LABEL, None))
+        a, b, script, _ = compare(*(pair[::-1] if reverse else pair), structural_model())
+        kind, n = ("insert", b.n) if reverse else ("delete", a.n)
+        assert sorted(op.node for op in script.ops if op.kind == kind) == list(range(1, n))
+
+    DELETED = (mk(ROOT_LABEL, None, mk(I9, X2, mk(I9, X2), mk(I9, X2))),
+               mk(ROOT_LABEL, None, mk(I9, X2)))
+
+    @pytest.mark.filterwarnings("ignore:cost model")
+    def test_fused_group_deleted_whole(self, compare):
+        a, _, script, decisions = compare(*self.DELETED, SCALED)
+        assert decisions.deleted_groups
+        for root, marks, cost in decisions.deleted_groups:
+            assert marks
+            ops = [(op.kind, op.cost) for op in script.ops
+                   if getattr(op, "node", None) == root or getattr(op, "rep", None) == root]
+            assert ("delete", cost) in ops
+            assert any(kind.endswith("_fusion") for kind, _ in ops)
+
+    @pytest.mark.filterwarnings("ignore:cost model")
+    def test_fused_group_inserted_whole(self, compare):
+        _, b, script, decisions = compare(*reversed(self.DELETED), SCALED)
+        assert decisions.inserted_groups
+        inserted = {op.node for op in script.ops if op.kind == "insert"}
+        for _, marks, _ in decisions.inserted_groups:
+            assert marks and marks[-1].identity in inserted
+        assert any(op.kind.endswith("_split") for op in script.ops)
+
+    DISPLACED = (mk(ROOT_LABEL, None, mk(MULTI, H1, mk(HAIRPIN, H1), mk(BULGE, H1)),
+                    mk(HAIRPIN, H1)),
+                 mk(ROOT_LABEL, None, mk(BULGE, H4)))
+
+    def test_edge_fusion_deletes_displaced_siblings(self, compare):
+        _, _, script, decisions = compare(*self.DISPLACED, structural_model())
+        displaced = {d for g in decisions.groups for mk_ in g.i_marks
+                     if mk_.kind == "edge" for d in mk_.displaced}
+        assert displaced
+        ops = [op.kind for op in script.ops]
+        fusion = ops.index("edge_fusion")
+        deleted = {op.node for op in script.ops[:fusion] if op.kind == "delete"}
+        assert displaced <= deleted
+
+    def test_edge_split_inserts_displaced_siblings(self, compare):
+        _, _, script, decisions = compare(*reversed(self.DISPLACED), structural_model())
+        displaced = {d for g in decisions.groups for mk_ in g.j_marks
+                     if mk_.kind == "edge" for d in mk_.displaced}
+        assert displaced
+        assert displaced <= {node for node, _ in decisions.plain_inserts}
+        assert displaced <= {op.node for op in script.ops if op.kind == "insert"}
+
+    def test_edge_fusion_reparents_grandchildren(self, compare):
+        a, _, script, _ = compare(
+            mk(ROOT_LABEL, None, mk(HAIRPIN, H1, mk(HAIRPIN, H1, mk(MULTI, H4)))),
+            mk(ROOT_LABEL, None, mk(MULTI, H4, mk(MULTI, H4))), structural_model())
+        assert any(op.kind == "edge_fusion" and a.children[op.child] for op in script.ops)
 
 
 class TestPathCountBound:

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
-from rnatreedit import multilevel
+from rnatreedit import fusion_distance
 from rnatreedit.cli import main
 from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import InternalError, zs_distance
-from rnatreedit.fusion_distance import FusionParams
+from rnatreedit.fusion_distance import FusionParams, extract_fusion_script, fusion_dp
+from rnatreedit.generators import random_structure
 from rnatreedit.multilevel import (ColorSetMismatchError, coarse_pass,
                                    color_rep_b, fine_pass, multilevel_compare)
 from rnatreedit.rna_structures import decompose, emit_dotbracket, parse_dotbracket
-from rnatreedit.tree_model import build_rep_b, index, trees_equal
+from rnatreedit.tree_model import build, build_rep_b, index, trees_equal
 
 
 def db(seq, struct, name=""):
@@ -73,6 +76,20 @@ class TestCoarsePass:
     def test_rejects_other_reps(self):
         with pytest.raises(ValueError):
             coarse_pass(STEM, STEM, "b", MODEL, PARAMS)
+
+    @pytest.mark.parametrize("rep", ["c", "d"])
+    def test_cap_0_maps_as_the_fusion_dp_at_cap_0(self, rep):
+        """At cap 0 the coarse pass runs ZS; its mapping, in the order the
+        pass lists it (top down), is the fusion DP's at cap 0."""
+        rng = random.Random(5)
+        pairs = [(CORE_A, CORE_B)] + [(random_structure(rng, 50, name="x"),
+                                       random_structure(rng, 50, name="y"))
+                                      for _ in range(6)]
+        for a, b in pairs:
+            ta, tb = (index(build(s, rep)) for s in (a, b))
+            _, state = fusion_dp(ta, tb, MODEL, FusionParams(cap=0))
+            mapping, _ = coarse_pass(a, b, rep, MODEL, FusionParams(cap=0))
+            assert mapping == extract_fusion_script(state)[1]
 
 
 class TestColorRepB:
@@ -147,14 +164,14 @@ class TestFinePass:
             fine_pass(ca, cb, unit_model(ins_scale=2.0))
 
     def test_forced_crossing_exits_4(self, tmp_path, capsys, monkeypatch):
-        real = multilevel.extract_script
+        real = fusion_distance.extract_script
 
         def crossing(tables):
             # node 1 of CORE_A lies in its divergent hairpin: uncolored
             script, mapping = real(tables)
             return script, mapping | {(1, 1)}
 
-        monkeypatch.setattr(multilevel, "extract_script", crossing)
+        monkeypatch.setattr(fusion_distance, "extract_script", crossing)
         with pytest.raises(InternalError):
             multilevel_compare(CORE_A, CORE_B, MODEL, PARAMS, "c")
         paths = []
