@@ -77,18 +77,19 @@ class TestCoarsePass:
         with pytest.raises(ValueError):
             coarse_pass(STEM, STEM, "b", MODEL, PARAMS)
 
+    @pytest.mark.parametrize("cap", [0, 1, 2])
     @pytest.mark.parametrize("rep", ["c", "d"])
-    def test_cap_0_maps_as_the_fusion_dp_at_cap_0(self, rep):
-        """At cap 0 the coarse pass runs ZS; its mapping, in the order the
-        pass lists it (top down), is the fusion DP's at cap 0."""
+    def test_maps_as_the_fusion_extraction(self, rep, cap):
+        """The coarse mapping, in the order the pass lists it (top down), is
+        the fusion extraction's at the same cap (at cap 0 the pass runs ZS)."""
         rng = random.Random(5)
         pairs = [(CORE_A, CORE_B)] + [(random_structure(rng, 50, name="x"),
                                        random_structure(rng, 50, name="y"))
                                       for _ in range(6)]
         for a, b in pairs:
             ta, tb = (index(build(s, rep)) for s in (a, b))
-            _, state = fusion_dp(ta, tb, MODEL, FusionParams(cap=0))
-            mapping, _ = coarse_pass(a, b, rep, MODEL, FusionParams(cap=0))
+            _, state = fusion_dp(ta, tb, MODEL, FusionParams(cap=cap))
+            mapping, _ = coarse_pass(a, b, rep, MODEL, FusionParams(cap=cap))
             assert mapping == extract_fusion_script(state)[1]
 
 
