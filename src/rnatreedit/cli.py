@@ -189,7 +189,9 @@ def cmd_compare_batch(args: argparse.Namespace) -> int:
     for line_no, line in enumerate(_read_text(args.pairs_file).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split()
+        # Tab-separated when the line has a tab (as this command prints
+        # its pairs), so a path may hold spaces; else any whitespace.
+        parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise ConfigError(f"pairs file line {line_no}: expected two paths")
         pairs.append((parts[0], parts[1]))

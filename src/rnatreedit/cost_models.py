@@ -12,6 +12,7 @@ oracles, or by summing an edit script is the same float bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -29,6 +30,14 @@ def quantize(x: float) -> float:
 
 class InvalidTError(ValueError):
     pass
+
+
+def _parameter(name: str, x: float) -> float:
+    """A model parameter snapped to the grid, or ValueError when it does
+    not stay finite there (inf, NaN, or so large that x * 2**32 is inf)."""
+    if not math.isfinite(x * _GRID):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return quantize(x)
 
 
 def merge_node_labels(u: Label, e_uv: Optional[Label], v: Label) -> Label:
@@ -59,6 +68,11 @@ class CostModel:
     costs deleting the absorbed child object plus t, an edge fusion costs
     deleting the vanishing parent object plus t (displaced sibling
     subtrees are charged separately by the algorithm).
+
+    A ``match_fn`` may carry a ``part`` attribute, a function of two
+    node labels or two edge labels, when
+    ``match_fn(a, b) == min(part(a[0], b[0]) + part(a[1], b[1]), 1.0)``
+    for all label pairs, so that the fusion DP may price the parts apart.
     """
 
     name: str
@@ -99,7 +113,7 @@ class CostModel:
     def with_t(self, t: float) -> "CostModel":
         if t < 0:
             raise InvalidTError(f"t must be >= 0, got {t}")
-        return replace(self, t=quantize(t))
+        return replace(self, t=_parameter("t", t))
 
     def describe(self) -> dict[str, object]:
         """Effective parameters, echoed bit-exactly by the CLI."""
@@ -119,8 +133,8 @@ def unit_model(t: float = 0.1, cap: bool = False,
     """
     if t < 0:
         raise InvalidTError(f"t must be >= 0, got {t}")
-    ins_cost = quantize(ins_scale)
-    del_cost = quantize(del_scale)
+    ins_cost = _parameter("ins_scale", ins_scale)
+    del_cost = _parameter("del_scale", del_scale)
 
     def match(a: LabelPair, b: LabelPair) -> float:
         return 0.0 if a == b else 1.0
@@ -129,7 +143,7 @@ def unit_model(t: float = 0.1, cap: bool = False,
     if ins_scale != 1.0 or del_scale != 1.0:
         params = (("ins_scale", ins_scale), ("del_scale", del_scale))
     return CostModel(
-        name="unit", t=quantize(t), cap=cap,
+        name="unit", t=_parameter("t", t), cap=cap,
         match_fn=match,
         del_fn=lambda a: del_cost,
         ins_fn=lambda a: ins_cost,
@@ -166,7 +180,7 @@ def structural_model(t: float = 0.05, cap: bool = False,
     if normalization not in _REDUCERS:
         raise ValueError(f"unknown normalization {normalization!r}")
     reduce_sizes = _REDUCERS[normalization]
-    kind_penalty = quantize(kind_penalty)
+    kind_penalty = _parameter("kind_penalty", kind_penalty)
     missing = quantize(kind_penalty + 1.0)
 
     # The component prices are ``quantize``d, written out in place: they
@@ -182,6 +196,10 @@ def structural_model(t: float = 0.05, cap: bool = False,
     def match(a: LabelPair, b: LabelPair) -> float:
         return min(comp_match(a[0], b[0]) + comp_match(a[1], b[1]), 1.0)
 
+    # On ``match`` itself, so a model rebuilt with another ``match_fn``
+    # prices whole pairs again (see CostModel).
+    match.part = comp_match
+
     def comp_del(lbl: Optional[Label]) -> float:
         if lbl is None:
             return 0.0
@@ -192,7 +210,7 @@ def structural_model(t: float = 0.05, cap: bool = False,
         return min(_BASE_DEL + comp_del(a[0]) + comp_del(a[1]), 1.0)
 
     return CostModel(
-        name="structural", t=quantize(t), cap=cap,
+        name="structural", t=_parameter("t", t), cap=cap,
         match_fn=match, del_fn=del_, ins_fn=del_,
         params=(("kind_penalty", kind_penalty), ("normalization", normalization)),
     )

@@ -19,8 +19,8 @@ closure is enumerated up front (``_Side``), in an order where successors
 come first.  States whose transitions are equal, mapped to classes, form
 one class, and so have equal rows: the DP fills one cell per pair of
 classes, bottom-up, one row at a time (``_fill``).  Each row is built in
-a list from earlier rows copied out once as lists, then stored into the
-one flat table that is kept.  Script extraction
+a list, which is kept alive until the last row that reads it is built,
+and stored once into the one flat table that is kept.  Script extraction
 walks the real states from the real roots and re-evaluates the lines at
 each cell it visits, so no table of choices is kept.
 
@@ -144,10 +144,10 @@ class _Side:
     A B side also numbers the merged labels of its classes
     (``label_of[c]``, -1 for a forest), lists its classes as the columns
     of ``_fill`` (``columns``: class, then the signature's fields in the
-    order the fill reads them, with the label number) and keeps
-    ``match_rows``: per merged label of an A state, the match
-    price against each label, priced with the side's model on first use.
-    Every pair compared against this side reuses them.
+    order the fill reads them, with the label number; ``forest_columns``:
+    the five of them a forest row reads) and keeps ``match_rows``: per
+    merged label of an A state, the match price against each label (see
+    ``match_row``).  Every pair compared against this side reuses them.
     """
 
     def __init__(self, prep: PreparedTree, left: bool, params: FusionParams):
@@ -174,7 +174,18 @@ class _Side:
                              self.label_of[c], moves)
                             for c, (tree, _, rcost, _, rest, lpart, rpart, moves)
                             in enumerate(self.classes)][1:]
+            self.forest_columns = [col[:1] + col[2:6] for col in self.columns]
             self.match_rows: dict[LabelPair, list[float]] = {}
+            # The part function of the model's match price (see CostModel).
+            self.part = getattr(model.match_fn, "part", None)
+            if self.part is not None:
+                nodes: dict[Optional[Label], int] = {}
+                edges: dict[Optional[Label], int] = {}
+                self.part_index = [(nodes.setdefault(n, len(nodes)),
+                                    edges.setdefault(e, len(edges)))
+                                   for n, e in self.label_pairs]
+                self.part_labels = (list(nodes), list(edges))
+                self.part_rows: tuple[dict, dict] = ({}, {})
 
     def info(self, r: int, path: FusionPath) -> MergedNodeState:
         key = (r, path)
@@ -209,14 +220,45 @@ class _Side:
         self.infos[key] = state
         return state
 
+    def match_row(self, merged: LabelPair) -> list[float]:
+        """The match price of an A merged label against each label of
+        this B side (``label_pairs`` order), priced on first use.
+
+        With a part function the row is assembled from one row of part
+        prices per A node label and one per A edge label: the same floats
+        added in the same order as the model's whole price.
+        """
+        row = self.match_rows.get(merged)
+        if row is None:
+            if self.part is None:
+                cost_match = self.model.cost_match
+                row = [cost_match(merged, pb) for pb in self.label_pairs]
+            else:
+                node_row = self._part_row(0, merged[0])
+                edge_row = self._part_row(1, merged[1])
+                row = [min(node_row[k] + edge_row[k2], 1.0) for k, k2 in self.part_index]
+            self.match_rows[merged] = row
+        return row
+
+    def _part_row(self, kind: int, label: Optional[Label]) -> list[float]:
+        """Part prices of an A node (kind 0) or edge (kind 1) label against
+        this side's distinct labels of that kind, priced on first use."""
+        rows = self.part_rows[kind]
+        row = rows.get(label)
+        if row is None:
+            part = self.part
+            row = rows[label] = [part(label, lbl) for lbl in self.part_labels[kind]]
+        return row
+
     def make_forest(self, a: int, b: int, holes: tuple[int, ...]) -> tuple:
-        holes = tuple(h for h in holes if a <= h <= b)
-        while a <= b and (b in holes or a in holes):
-            if b in holes:
-                b -= 1
-            elif a in holes:
-                a += 1
+        if holes:
             holes = tuple(h for h in holes if a <= h <= b)
+            while a <= b and (b in holes or a in holes):
+                if b in holes:
+                    b -= 1
+                elif a in holes:
+                    a += 1
+                holes = tuple(h for h in holes if a <= h <= b)
         if a > b:
             return _EMPTY
         if self.t.l[b] == a:
@@ -397,33 +439,46 @@ def _fill(sa: _Side, sb: _Side) -> array:
     tree class it matches the two merged roots instead of decomposing,
     and adds A's fusions and B's splits.  Row 0 and column 0 hold the
     price of removing the other side whole.  Match prices come from the
-    B side's match rows (see ``_Side``).
+    B side's match rows (``_Side.match_row``).
 
     Each row is built in a list, ``cur``, and stored into the flat table
-    with one slice assignment.  The earlier rows it reads (``rest``; for a
-    forest class ``left`` and ``right``; for a tree class the row of each
-    fusion) are copied out once per row as lists, so a cell reads them by
-    column, with no offset sums and no new float object per read.  Every
-    cell does the same float operations as a fill over the flat table.
+    with one slice assignment.  The list itself stays in ``rows`` until
+    the last row that reads it (as ``rest``; for a forest class as
+    ``left`` or ``right``; for a tree class as a fusion's row) is built,
+    so a cell reads earlier rows by column, with no offset sums, no new
+    float object per read and no row copied back out of the table.
+    Every cell does the same float operations as a fill over the flat
+    table.
     """
     na, nb = len(sa.classes), len(sb.classes)
     table = array("d", [0.0]) * (na * nb)
     row0 = [sig[3] for sig in sb.classes]
     table[:nb] = array("d", row0)
+    # Successors come first, so the last reader of a row is the largest
+    # class that reads it; rows nothing reads are never kept.
+    last = [0] * na
+    for i, (tree, _, _, _, rest, left, right, moves) in enumerate(sa.classes):
+        last[rest] = last[left] = i
+        if tree:
+            for _, child in moves:
+                last[child] = i
+        else:
+            last[right] = i
+    expiring: list[list[int]] = [[] for _ in range(na)]
+    for k in range(1, na):
+        if last[k]:
+            expiring[last[k]].append(k)
+    rows = {0: row0}
 
-    def row(k: int) -> list[float]:
-        return table[k * nb:(k + 1) * nb].tolist() if k else row0
-
-    columns, label_pairs, match_rows = sb.columns, sb.label_pairs, sb.match_rows
-    cost_match = sb.model.cost_match
+    columns, forest_columns, match_row = sb.columns, sb.forest_columns, sb.match_row
     for i in range(1, na):
         tree_a, merged, cost_a, remove_a, rest, left, right, moves = sa.classes[i]
         # Every cell but column 0 is overwritten in column order.
         cur = [remove_a] * nb
-        rest_row = row(rest)
+        rest_row = rows[rest]
         if not tree_a:
-            left_row, right_row = row(left), row(right)
-            for j, _, left_b, right_b, rest_b, cost_b, _, _ in columns:
+            left_row, right_row = rows[left], rows[right]
+            for j, left_b, right_b, rest_b, cost_b in forest_columns:
                 best = left_row[left_b] + right_row[right_b]
                 alt = cost_a + rest_row[j]
                 if alt < best:
@@ -433,15 +488,12 @@ def _fill(sa: _Side, sb: _Side) -> array:
                     best = alt
                 cur[j] = best
         else:
-            match_row = match_rows.get(merged)
-            if match_row is None:
-                match_row = [cost_match(merged, pb) for pb in label_pairs]
-                match_rows[merged] = match_row
-            moves_a = [(cost, row(child)) for cost, child in moves]
+            prices = match_row(merged)
+            moves_a = [(cost, rows[child]) for cost, child in moves]
             for j, tree_b, left_b, right_b, rest_b, cost_b, label_b, moves_b in columns:
                 # The minimum does not depend on the order of the lines.
                 if tree_b:
-                    best = match_row[label_b] + rest_row[rest_b]
+                    best = prices[label_b] + rest_row[rest_b]
                     for cost, child_row in moves_a:
                         alt = cost + child_row[j]
                         if alt < best:
@@ -460,6 +512,10 @@ def _fill(sa: _Side, sb: _Side) -> array:
                     best = alt
                 cur[j] = best
         table[i * nb:(i + 1) * nb] = array("d", cur)
+        if last[i]:
+            rows[i] = cur
+        for k in expiring[i]:
+            del rows[k]
     return table
 
 

@@ -62,6 +62,30 @@ class TestCompare:
         assert code == 3
         assert "t must be >= 0" in err
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "1e308", "nan"])
+    def test_non_finite_t_is_config_error(self, stem_file, capsys, value):
+        # 1e308 is finite, but not on the 2**-32 grid: 1e308 * 2**32 is inf.
+        code = main(["compare", stem_file, stem_file, "--t", value])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"configuration error: t must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("config, key", [
+        ("t = inf", "t"),
+        ("kind_penalty = inf", "kind_penalty"),
+        ("model = unit\nins_scale = inf", "ins_scale"),
+        ("model = unit\ndel_scale = -inf", "del_scale"),
+    ])
+    def test_non_finite_config_value_is_config_error(self, stem_file, tmp_path, capsys,
+                                                     config, key):
+        path = tmp_path / "model.cfg"
+        path.write_text(config + "\n")
+        code = main(["compare", stem_file, stem_file, "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"configuration error: {key} must be finite, got ")
+        assert err.count("\n") == 1
+
     def test_parse_error_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.db"
         bad.write_text(">x\nGGAA\n((..\n")
@@ -493,6 +517,20 @@ class TestBatch:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    def test_tab_separated_paths_may_hold_spaces(self, tmp_path, capsys):
+        spaced = tmp_path / "dir with space"
+        spaced.mkdir()
+        a, b, c = spaced / "a.db", spaced / "b b.db", tmp_path / "c.db"
+        for path, loop in ((a, "...."), (b, "....."), (c, "......")):
+            path.write_text(f">x\n{'G' * 4}{'A' * len(loop)}{'C' * 4}\n(((({loop}))))\n")
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"{a}\t{b}\n{c}  {c}\n")
+        code = main(["compare-batch", str(pairs), "--jobs", "1"])
+        fields = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert [f[:2] for f in fields] == [[str(a), str(b)], [str(c), str(c)]]
+        assert float(fields[0][2]) > 0 and fields[1][2:] == ["0.0"]
 
 
 class TestInternalErrors:

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from rnatreedit import fusion_distance
@@ -7,7 +10,7 @@ from rnatreedit.edit_distance import (MalformedIndexError, prepare, replay_scrip
 from rnatreedit.fusion_distance import (FusionParams, PathBudgetExceededError,
                                         compare_trees, extract_fusion_script,
                                         fusion_dp, path_count_bound)
-from rnatreedit.generators import random_tree
+from rnatreedit.generators import random_structure, random_tree
 from rnatreedit.oracle import SearchBudget, script_search_oracle
 from rnatreedit.rna_structures import parse_dotbracket
 from rnatreedit.tree_model import (Label, LabeledTree, ROOT_LABEL, TreeNode,
@@ -381,6 +384,49 @@ class TestExtractionPaths:
             mk(ROOT_LABEL, None, mk(HAIRPIN, H1, mk(HAIRPIN, H1, mk(MULTI, H4)))),
             mk(ROOT_LABEL, None, mk(MULTI, H4, mk(MULTI, H4))), structural_model())
         assert any(op.kind == "edge_fusion" and a.children[op.child] for op in script.ops)
+
+
+class TestMatchRows:
+    """A B side prices match rows by parts when the model names its part
+    function, and whole pairs otherwise, with the same floats."""
+
+    @pytest.mark.parametrize("normalization", ["sum", "min", "max", "avg"])
+    def test_part_rows_equal_whole_prices(self, rng, normalization):
+        m = structural_model(t=0.05, normalization=normalization)
+        for rep in "cd":
+            for cap in (1, 2):
+                p = FusionParams(cap=cap)
+                a, b = (prepare(index(build(random_structure(rng, 40), rep)), m)
+                        for _ in range(2))
+                sa = fusion_distance._side(a, True, p)
+                sb = fusion_distance._side(b, False, p)
+                assert sb.part is not None
+                merged = {lbl for side in (sa, sb) for lbl in side.merged if lbl}
+                assert len(merged) > len(sb.label_pairs) // 2, (rep, cap)
+                for lbl in merged:
+                    assert [x.hex() for x in sb.match_row(lbl)] == [
+                        m.cost_match(lbl, q).hex() for q in sb.label_pairs], (rep, cap, lbl)
+
+    def test_rebuilt_match_fn_prices_whole_pairs(self, rng):
+        base = structural_model(t=0.05)
+        seen = []
+
+        def counting(p, q):
+            seen.append((p, q))
+            return base.match_fn(p, q)
+
+        counted = dataclasses.replace(base, match_fn=counting)
+        for rep in "cd":
+            a, b = (index(build(random_structure(rng, 40), rep)) for _ in range(2))
+            seen.clear()
+            _, state = fusion_dp(a, b, counted, FusionParams(cap=1))
+            sb = state.side_b
+            assert sb.part is None
+            assert Counter(seen) == Counter((p, q) for p in sb.match_rows
+                                            for q in sb.label_pairs), rep
+            _, parts = fusion_dp(a, b, base, FusionParams(cap=1))
+            assert parts.side_b.part is not None
+            assert state.memo.tobytes() == parts.memo.tobytes(), rep
 
 
 class TestPathCountBound:

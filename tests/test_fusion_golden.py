@@ -28,7 +28,7 @@ from rnatreedit.cost_models import structural_model, unit_model
 from rnatreedit.edit_distance import extract_script, zs_distance
 from rnatreedit.fusion_distance import (FusionParams, extract_fusion_script,
                                         fusion_dp)
-from rnatreedit.generators import random_structure, random_tree
+from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.multilevel import ColoredRepB, coarse_pass, color_rep_b, fine_pass
 from rnatreedit.rna_structures import SecondaryStructure, parse_dotbracket
 from rnatreedit.tree_model import Label, LabeledTree, TreeNode, build, index
@@ -385,6 +385,25 @@ def test_class_table_reproduces_full_table_and_its_choices(monkeypatch):
             assert line == choice[i * len(sb.states) + j], (case, i, j)
     # A fusion and an edge fusion per child of a degree-4 multiloop.
     assert most_moves >= 8
+
+
+def test_small_trees_reproduce_reference_fill():
+    """Every pair of trees with 1-3 nodes, the smallest closures, fills
+    as the full table."""
+    trees = [index(t) for n in (1, 2, 3)
+             for t in labeled_trees(n, [Label("h", (1,)), Label("i", (9,))],
+                                    Label("x", (2,)))]
+    for a in trees:
+        for b in trees:
+            for name, model in MODELS.items():
+                for cap in (1, 2):
+                    _, state = fusion_dp(a, b, model, FusionParams(cap=cap))
+                    sa, sb = state.side_a, state.side_b
+                    table, _ = reference_fill(sa, sb)
+                    nb = len(sb.classes)
+                    by_class = array("d", [state.memo[ca * nb + cb]
+                                           for ca in sa.cls for cb in sb.cls])
+                    assert by_class.tobytes() == table.tobytes(), (name, cap)
 
 
 if __name__ == "__main__":
