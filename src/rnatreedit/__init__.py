@@ -14,12 +14,12 @@ from importlib import import_module as _import_module
 from .cost_models import (CostModel, InvalidTError, ValidityReport, named_model,
                           parse_model_config, structural_model, unit_model,
                           validate)
-from .edit_distance import (Delete, DPTables, EditOp, EditScript, Insert,
+from .edit_distance import (Delete, DPTables, EdgeFusion, EdgeSplit, EditOp,
+                            EditScript, Insert, NodeFusion, NodeSplit,
                             PreparedTree, Relabel, extract_script, prepare,
                             replay_script, validate_mapping, zs_distance)
-from .fusion_distance import (EdgeFusion, EdgeSplit, FusionDPState,
-                              FusionParams, NodeFusion, NodeSplit,
-                              compare_trees, extract_fusion_script, fusion_dp,
+from .fusion_distance import (FusionDPState, FusionParams, compare_trees,
+                              extract_fusion_script, fusion_dp,
                               path_count_bound)
 from .rna_structures import (ElementGraph, ElementKind, SecondaryStructure,
                              StructureElement, decompose, emit_ct,

@@ -63,8 +63,6 @@ def _load_structure(path: str, fmt: str, pairing: str) -> SecondaryStructure:
 
 
 def _model_from_args(args: argparse.Namespace) -> cost_models.CostModel:
-    if args.t is not None and args.t < 0:
-        raise ConfigError("t must be >= 0")
     name = args.model
     if name in ("unit", "structural"):
         return cost_models.named_model(name, args.t)

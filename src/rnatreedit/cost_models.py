@@ -73,6 +73,11 @@ class CostModel:
     node labels or two edge labels, when
     ``match_fn(a, b) == min(part(a[0], b[0]) + part(a[1], b[1]), 1.0)``
     for all label pairs, so that the fusion DP may price the parts apart.
+
+    A hand-built model keeps every price on the 2**-32 grid (``quantize``
+    each one), as the built-in models do: the replay audit compares a
+    script's summed cost with the distance exactly, and off the grid the
+    two sums can differ in the last bit.
     """
 
     name: str
@@ -180,6 +185,8 @@ def structural_model(t: float = 0.05, cap: bool = False,
     if normalization not in _REDUCERS:
         raise ValueError(f"unknown normalization {normalization!r}")
     reduce_sizes = _REDUCERS[normalization]
+    if kind_penalty < 0:
+        raise ValueError(f"kind_penalty must be >= 0, got {kind_penalty!r}")
     kind_penalty = _parameter("kind_penalty", kind_penalty)
     missing = quantize(kind_penalty + 1.0)
 

@@ -35,10 +35,14 @@ prices every pass runs.  ``DPTables.cells`` counts the forest cells
 actually filled.  The table that results is the full node-indexed one,
 the same floats as when every pass runs.
 
-This module also owns the edit-operation types, script extraction via
-backtracking, and a mechanical replay engine that applies a script to a
-tree without consulting the target: every operation carries the payload
-it needs (labels, adoption ranges, anchor ids).
+This module also owns the script layer both engines share: all seven
+edit operations (delete, insert and relabel; node fusion, edge fusion
+and their splits), the decision records an extraction produces and
+their assembly into a script, ZS's extraction via backtracking, and a
+mechanical replay engine that applies a script to a tree without
+consulting the target: every operation carries the payload it needs
+(labels, adoption ranges, anchor ids).  It imports nothing from the
+fusion module.
 """
 
 from __future__ import annotations
@@ -66,9 +70,18 @@ class EditOp:
     cost: float
 
     kind = "op"
+    # The fields naming the operation's T nodes and T' nodes, in JSON order.
+    i_fields = ()
+    j_fields = ()
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        out: dict = {"op": self.kind}
+        if self.i_fields:
+            out["i_nodes"] = [getattr(self, f) for f in self.i_fields]
+        if self.j_fields:
+            out["j_nodes"] = [getattr(self, f) for f in self.j_fields]
+        out["cost"] = self.cost
+        return out
 
     def apply(self, ctx: "ReplayContext") -> None:
         raise NotImplementedError
@@ -79,11 +92,9 @@ class Delete(EditOp):
     """Remove node ``node`` of T; its children take its place."""
 
     kind = "delete"
+    i_fields = ("node",)
 
     node: int = 0
-
-    def to_json(self) -> dict:
-        return {"op": "delete", "i_nodes": [self.node], "cost": self.cost}
 
     def apply(self, ctx: "ReplayContext") -> None:
         w = ctx.take_i(self.node)
@@ -102,6 +113,7 @@ class Insert(EditOp):
     """
 
     kind = "insert"
+    j_fields = ("node",)
 
     node: int = 0
     parent: int = 0
@@ -109,9 +121,6 @@ class Insert(EditOp):
     edge_label: Optional[Label] = None
     tag: tuple[int, int] = (0, 0)
     adopt: tuple[int, int] = (0, 0)
-
-    def to_json(self) -> dict:
-        return {"op": "insert", "j_nodes": [self.node], "cost": self.cost}
 
     def apply(self, ctx: "ReplayContext") -> None:
         parent = ctx.registry_j[self.parent]
@@ -130,6 +139,8 @@ class Relabel(EditOp):
     """Match T node ``node`` with T' node ``target`` (labels may be equal)."""
 
     kind = "relabel"
+    i_fields = ("node",)
+    j_fields = ("target",)
 
     node: int = 0
     target: int = 0
@@ -137,16 +148,116 @@ class Relabel(EditOp):
     edge_label: Optional[Label] = None
     tag: tuple[int, int] = (0, 0)
 
-    def to_json(self) -> dict:
-        return {"op": "relabel", "i_nodes": [self.node],
-                "j_nodes": [self.target], "cost": self.cost}
-
     def apply(self, ctx: "ReplayContext") -> None:
         w = ctx.registry_i[self.node]
         w.label = self.node_label
         w.edge_label = self.edge_label
         w.tag = self.tag
         ctx.registry_j[self.target] = w
+
+
+@dataclass(frozen=True)
+class NodeFusion(EditOp):
+    """Merge child ``child`` into ``rep``; the child's children move up."""
+
+    kind = "node_fusion"
+    i_fields = ("rep", "child")
+
+    rep: int = 0
+    child: int = 0
+    node_label: Optional[Label] = None
+
+    def apply(self, ctx: "ReplayContext") -> None:
+        w = ctx.registry_i[self.rep]
+        c = ctx.take_i(self.child)
+        pos = w.children.index(c)
+        for k in c.children:
+            k.parent = w
+        w.children[pos:pos + 1] = c.children
+        w.label = self.node_label
+
+
+@dataclass(frozen=True)
+class EdgeFusion(EditOp):
+    """Fuse the edges above and below ``rep``; only ``child`` survives it.
+
+    Displaced sibling subtrees must already be deleted when this applies.
+    """
+
+    kind = "edge_fusion"
+    i_fields = ("rep", "child")
+
+    rep: int = 0
+    child: int = 0
+    node_label: Optional[Label] = None
+    edge_label: Optional[Label] = None
+
+    def apply(self, ctx: "ReplayContext") -> None:
+        w = ctx.registry_i[self.rep]
+        c = ctx.take_i(self.child)
+        if w.children != [c]:
+            raise MalformedIndexError("edge fusion with undeleted siblings")
+        for k in c.children:
+            k.parent = w
+        w.children = c.children
+        w.label = self.node_label
+        w.edge_label = self.edge_label
+
+
+@dataclass(frozen=True)
+class NodeSplit(EditOp):
+    """Inverse node fusion: re-create ``node`` below the merged object."""
+
+    kind = "node_split"
+    j_fields = ("focus", "node")
+
+    focus: int = 0
+    node: int = 0
+    node_label: Optional[Label] = None
+    edge_label: Optional[Label] = None
+    tag: tuple[int, int] = (0, 0)
+    focus_node_label: Optional[Label] = None
+
+    def apply(self, ctx: "ReplayContext") -> None:
+        w = ctx.registry_j[self.focus]
+        start, end = ctx.adoption_run(w, self.tag)
+        new = ReplayNode(self.node_label, self.edge_label, tag=self.tag)
+        new.children = w.children[start:end]
+        for k in new.children:
+            k.parent = new
+        new.parent = w
+        w.children[start:end] = [new]
+        w.label = self.focus_node_label
+        ctx.registry_j[self.node] = new
+
+
+@dataclass(frozen=True)
+class EdgeSplit(EditOp):
+    """Inverse edge fusion: re-create ``node`` above the merged object."""
+
+    kind = "edge_split"
+    j_fields = ("node", "below")
+
+    below: int = 0
+    node: int = 0
+    node_label: Optional[Label] = None
+    edge_label: Optional[Label] = None
+    tag: tuple[int, int] = (0, 0)
+    below_edge_label: Optional[Label] = None
+    below_tag: tuple[int, int] = (0, 0)
+
+    def apply(self, ctx: "ReplayContext") -> None:
+        w = ctx.registry_j[self.below]
+        new = ReplayNode(self.node_label, self.edge_label, tag=self.tag)
+        parent = w.parent
+        pos = parent.children.index(w)
+        parent.children[pos] = new
+        new.parent = parent
+        new.children = [w]
+        w.parent = new
+        w.edge_label = self.below_edge_label
+        w.tag = self.below_tag
+        ctx.registry_j[self.node] = new
 
 
 @dataclass
@@ -248,14 +359,17 @@ def replay_script(a: IndexedTree, script: EditScript) -> LabeledTree:
 
 def audit_script(a: IndexedTree, b: IndexedTree, script: EditScript,
                  distance: float) -> None:
-    """The replay audit: the script must rebuild T' from T at ``distance``
-    (a script that cannot be replayed at all fails it too)."""
+    """The replay audit: the script must rebuild T' from T (a script that
+    cannot be replayed at all fails it too), and its operations must cost
+    exactly ``distance``.  Each half fails with a message of its own."""
     try:
         replayed = replay_script(a, script)
     except (LookupError, ValueError) as exc:
         raise InternalError(f"script replay failed: {type(exc).__name__}: {exc}") from None
-    if not trees_equal(replayed.root, b.tree.root) or script.total_cost != distance:
+    if not trees_equal(replayed.root, b.tree.root):
         raise InternalError("script replay failed to reproduce the target tree")
+    if script.total_cost != distance:
+        raise InternalError(f"script costs {script.total_cost!r}, the distance is {distance!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +744,8 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
 
     groups = [GroupDecision(i, (), j, (), match_table[class_a[i]][class_b[j]])
               for i, j in matches]
-    decisions = Decisions(groups=groups,
-                          plain_deletes=[(d, a.del_costs[d]) for d in deletes],
-                          plain_inserts=[(v, b.ins_costs[v]) for v in inserts])
+    decisions = Decisions(groups, [(d, (), a.del_costs[d]) for d in deletes],
+                          [(v, (), b.ins_costs[v]) for v in inserts])
     script, group_mapping = assemble_script(a, b, decisions)
     mapping: Mapping = {(gi[0], gj[0]) for gi, gj in group_mapping}
     return script, mapping
@@ -671,9 +784,9 @@ class MarkInfo:
 
     ``merged_pair`` is the root's (node, edge) label object after this
     mark; ``displaced`` lists the sibling subtree nodes an edge mark
-    displaces (deleted before the fusion on the T side, plain inserts on
-    the T' side); ``identity`` is the T'-side node whose data the merged
-    object carries after this mark (unused on the T side).
+    displaces (deleted before the fusion on the T side, inserted as single
+    nodes on the T' side); ``identity`` is the T'-side node whose data the
+    merged object carries after this mark (unused on the T side).
     """
 
     kind: str  # 'node' or 'edge'
@@ -695,18 +808,25 @@ class GroupDecision:
 
 @dataclass
 class Decisions:
+    """What an extraction decided: the matched groups, and each deleted
+    or inserted object as (root, marks, cost of removing the whole
+    object), with ``()`` as the marks of a single node."""
+
     groups: list[GroupDecision] = field(default_factory=list)
-    # (root, marks, cost of deleting/inserting the merged object)
-    deleted_groups: list[tuple[int, tuple[MarkInfo, ...], float]] = field(default_factory=list)
-    inserted_groups: list[tuple[int, tuple[MarkInfo, ...], float]] = field(default_factory=list)
-    plain_deletes: list[tuple[int, float]] = field(default_factory=list)
-    plain_inserts: list[tuple[int, float]] = field(default_factory=list)
+    deleted: list[tuple[int, tuple[MarkInfo, ...], float]] = field(default_factory=list)
+    inserted: list[tuple[int, tuple[MarkInfo, ...], float]] = field(default_factory=list)
+
+
+def _carried(b: IndexedTree, root: int, marks: tuple[MarkInfo, ...]) -> tuple[int, LabelPair]:
+    """The T' node whose data a T'-side object carries after ``marks``,
+    and the object's label pair."""
+    if marks:
+        return marks[-1].identity, marks[-1].merged_pair
+    return root, (b.labels[root], b.edge_labels[root])
 
 
 def _group_block(a: PreparedTree, root: int, marks: tuple[MarkInfo, ...]) -> list[EditOp]:
     """Fusion ops for one T-side group, displaced deletions first."""
-    from .fusion_distance import EdgeFusion, NodeFusion
-
     ops: list[EditOp] = []
     for mark in marks:
         if mark.kind == "edge":
@@ -723,13 +843,10 @@ def _group_block(a: PreparedTree, root: int, marks: tuple[MarkInfo, ...]) -> lis
 
 def _split_block(b: IndexedTree, root: int, marks: tuple[MarkInfo, ...]) -> list[EditOp]:
     """Split ops materializing a T'-side group, last fusion undone first."""
-    from .fusion_distance import EdgeSplit, NodeSplit
-
     ops: list[EditOp] = []
     for k in range(len(marks) - 1, -1, -1):
         mark = marks[k]
-        prev_pair = marks[k - 1].merged_pair if k else (b.labels[root], b.edge_labels[root])
-        prev_identity = marks[k - 1].identity if k else root
+        prev_identity, prev_pair = _carried(b, root, marks[:k])
         if mark.kind == "node":
             ops.append(NodeSplit(
                 cost=mark.cost, focus=mark.identity, node=mark.child,
@@ -751,50 +868,37 @@ def assemble_script(a: PreparedTree, b: IndexedTree, decisions: Decisions
     """Order the backtracked decisions into an executable script.
 
     T-side rewrites run first (fusion blocks, deletions, relabels), then
-    T'-side materialization in preorder (splits and insertions).  Returns
-    the script and the group mapping (merged objects map as one unit).
+    T'-side materialization in preorder (splits and insertions).  Fused
+    objects are deleted in ascending order of their roots, then single
+    nodes in descending order.  Returns the script and the group mapping
+    (merged objects map as one unit).
     """
     ops: list[EditOp] = []
-
-    for root, marks, _ in sorted(decisions.deleted_groups):
+    deleted = sorted(decisions.deleted)
+    groups = sorted(decisions.groups, key=lambda g: g.i_root)
+    for root, marks, _ in deleted:
         ops.extend(_group_block(a, root, marks))
-    for g in sorted(decisions.groups, key=lambda g: g.i_root):
+    for g in groups:
         ops.extend(_group_block(a, g.i_root, g.i_marks))
-    for root, marks, cost in sorted(decisions.deleted_groups):
+    for root, _, cost in [d for d in deleted if d[1]] + [d for d in reversed(deleted) if not d[1]]:
         ops.append(Delete(cost=cost, node=root))
-    for node, cost in sorted(decisions.plain_deletes, reverse=True):
-        ops.append(Delete(cost=cost, node=node))
 
     pre = {node: rank for rank, node in enumerate(b.preorder())}
     events: list[tuple[int, list[EditOp]]] = []
-    relabels: list[EditOp] = []
-    for g in sorted(decisions.groups, key=lambda g: g.i_root):
-        identity = g.j_marks[-1].identity if g.j_marks else g.j_root
-        merged = g.j_marks[-1].merged_pair if g.j_marks else (
-            b.labels[g.j_root], b.edge_labels[g.j_root])
-        relabels.append(Relabel(cost=g.match_cost, node=g.i_root, target=identity,
-                                node_label=merged[0], edge_label=merged[1],
-                                tag=(b.l[identity], identity)))
+    for g in groups:
+        identity, merged = _carried(b, g.j_root, g.j_marks)
+        ops.append(Relabel(cost=g.match_cost, node=g.i_root, target=identity,
+                           node_label=merged[0], edge_label=merged[1],
+                           tag=(b.l[identity], identity)))
         if g.j_marks:
             events.append((pre[g.j_root], _split_block(b, g.j_root, g.j_marks)))
-    ops.extend(relabels)
-
-    for root, marks, cost in decisions.inserted_groups:
-        identity = marks[-1].identity if marks else root
-        merged = marks[-1].merged_pair if marks else (b.labels[root], b.edge_labels[root])
-        parent = b.parent[root] if root != b.root else 0
-        block: list[EditOp] = [Insert(
-            cost=cost, node=identity, parent=parent,
+    for root, marks, cost in decisions.inserted:
+        identity, merged = _carried(b, root, marks)
+        events.append((pre[root], [Insert(
+            cost=cost, node=identity, parent=b.parent[root],
             node_label=merged[0], edge_label=merged[1],
-            tag=(b.l[identity], identity), adopt=(b.l[root], root))]
-        block.extend(_split_block(b, root, marks))
-        events.append((pre[root], block))
-    for node, cost in decisions.plain_inserts:
-        parent = b.parent[node] if node != b.root else 0
-        events.append((pre[node], [Insert(
-            cost=cost, node=node, parent=parent,
-            node_label=b.labels[node], edge_label=b.edge_labels[node],
-            tag=(b.l[node], node), adopt=(b.l[node], node))]))
+            tag=(b.l[identity], identity), adopt=(b.l[root], root)),
+            *_split_block(b, root, marks)]))
     for _, block in sorted(events, key=lambda e: e[0]):
         ops.extend(block)
 

@@ -22,7 +22,10 @@ classes, bottom-up, one row at a time (``_fill``).  Each row is built in
 a list, which is kept alive until the last row that reads it is built,
 and stored once into the one flat table that is kept.  Script extraction
 walks the real states from the real roots and re-evaluates the lines at
-each cell it visits, so no table of choices is kept.
+each cell it visits, so no table of choices is kept.  The edit
+operations, the decision records the walk fills and their assembly into
+a script live in ``edit_distance``, beside the replay that checks them:
+this module defines none of them.
 
 ``compare_trees`` is the one comparison path of the package: it picks
 the engine from the cap (ZS at cap 0, this DP above it), extracts the
@@ -38,20 +41,17 @@ from itertools import accumulate
 from typing import Optional
 
 from .cost_models import CostModel, LabelPair
-from .edit_distance import (Decisions, DPTables, EditOp, EditScript, GroupDecision,
-                            InternalError, MarkInfo, MalformedIndexError,
-                            PreparedTree, ReplayContext, ReplayNode,
-                            assemble_script, audit_script, extract_script, prepare,
-                            zs_distance, _warn_unvalidated)
+from .edit_distance import (Decisions, DPTables, EditScript, GroupDecision, InternalError,
+                            MarkInfo, MalformedIndexError, PreparedTree, assemble_script,
+                            audit_script, extract_script, prepare, zs_distance,
+                            _warn_unvalidated)
 from .tree_model import IndexedTree, Label
 
-# A fusion path is a tuple of marks; each mark is ('u', v) for a node
-# fusion with child v or ('e', v) for an edge fusion.
+# A fusion path is a tuple of marks; each mark is ('node', v) for a node
+# fusion with child v or ('edge', v) for an edge fusion, the kinds of
+# ``MarkInfo``.
 FusionMark = tuple[str, int]
 FusionPath = tuple[FusionMark, ...]
-
-NODE_MARK = "u"
-EDGE_MARK = "e"
 
 _EMPTY = ("f", 1, 0, ())
 
@@ -202,7 +202,7 @@ class _Side:
             if v not in prev.children:
                 raise PathBudgetExceededError(f"{v} is not a child of ({r}, {path[:-1]})")
             node_lbl, edge_lbl = prev.merged
-            if kind == NODE_MARK:
+            if kind == "node":
                 merged = (self.model.merge_node(node_lbl, t.edge_labels[v], t.labels[v]),
                           edge_lbl)
                 pos = prev.children.index(v)
@@ -281,12 +281,12 @@ class _Side:
             pair = self.t.pair
             for c in info.children:
                 moves.append((self.fuse_node(info.merged, pair(c)),
-                              ("t", r, path + ((NODE_MARK, c),))))
-            if r != self.t.root and not (prune and path and path[-1][0] == NODE_MARK):
+                              ("t", r, path + (("node", c),))))
+            if r != self.t.root and not (prune and path and path[-1][0] == "node"):
                 for c in info.children:
                     moves.append((self.fuse_edge(info.merged, pair(c))
                                   + self.displaced_cost(info, c),
-                                  ("t", r, path + ((EDGE_MARK, c),))))
+                                  ("t", r, path + (("edge", c),))))
         return [self.make_forest(*info.cf)] + [m[1] for m in moves], moves
 
     def _close(self, cap: int, prune: bool) -> None:
@@ -560,126 +560,6 @@ def _best_line(sa: _Side, sb: _Side, table: array, i: int, j: int
 
 
 # ---------------------------------------------------------------------------
-# Fusion edit operations
-
-
-@dataclass(frozen=True)
-class NodeFusion(EditOp):
-    """Merge child ``child`` into ``rep``; the child's children move up."""
-
-    kind = "node_fusion"
-
-    rep: int = 0
-    child: int = 0
-    node_label: Optional[Label] = None
-
-    def to_json(self) -> dict:
-        return {"op": "node_fusion", "i_nodes": [self.rep, self.child],
-                "cost": self.cost}
-
-    def apply(self, ctx: ReplayContext) -> None:
-        w = ctx.registry_i[self.rep]
-        c = ctx.take_i(self.child)
-        pos = w.children.index(c)
-        for k in c.children:
-            k.parent = w
-        w.children[pos:pos + 1] = c.children
-        w.label = self.node_label
-
-
-@dataclass(frozen=True)
-class EdgeFusion(EditOp):
-    """Fuse the edges above and below ``rep``; only ``child`` survives it.
-
-    Displaced sibling subtrees must already be deleted when this applies.
-    """
-
-    kind = "edge_fusion"
-
-    rep: int = 0
-    child: int = 0
-    node_label: Optional[Label] = None
-    edge_label: Optional[Label] = None
-
-    def to_json(self) -> dict:
-        return {"op": "edge_fusion", "i_nodes": [self.rep, self.child],
-                "cost": self.cost}
-
-    def apply(self, ctx: ReplayContext) -> None:
-        w = ctx.registry_i[self.rep]
-        c = ctx.take_i(self.child)
-        if w.children != [c]:
-            raise MalformedIndexError("edge fusion with undeleted siblings")
-        for k in c.children:
-            k.parent = w
-        w.children = c.children
-        w.label = self.node_label
-        w.edge_label = self.edge_label
-
-
-@dataclass(frozen=True)
-class NodeSplit(EditOp):
-    """Inverse node fusion: re-create ``node`` below the merged object."""
-
-    kind = "node_split"
-
-    focus: int = 0
-    node: int = 0
-    node_label: Optional[Label] = None
-    edge_label: Optional[Label] = None
-    tag: tuple[int, int] = (0, 0)
-    focus_node_label: Optional[Label] = None
-
-    def to_json(self) -> dict:
-        return {"op": "node_split", "j_nodes": [self.focus, self.node],
-                "cost": self.cost}
-
-    def apply(self, ctx: ReplayContext) -> None:
-        w = ctx.registry_j[self.focus]
-        start, end = ctx.adoption_run(w, self.tag)
-        new = ReplayNode(self.node_label, self.edge_label, tag=self.tag)
-        new.children = w.children[start:end]
-        for k in new.children:
-            k.parent = new
-        new.parent = w
-        w.children[start:end] = [new]
-        w.label = self.focus_node_label
-        ctx.registry_j[self.node] = new
-
-
-@dataclass(frozen=True)
-class EdgeSplit(EditOp):
-    """Inverse edge fusion: re-create ``node`` above the merged object."""
-
-    kind = "edge_split"
-
-    below: int = 0
-    node: int = 0
-    node_label: Optional[Label] = None
-    edge_label: Optional[Label] = None
-    tag: tuple[int, int] = (0, 0)
-    below_edge_label: Optional[Label] = None
-    below_tag: tuple[int, int] = (0, 0)
-
-    def to_json(self) -> dict:
-        return {"op": "edge_split", "j_nodes": [self.node, self.below],
-                "cost": self.cost}
-
-    def apply(self, ctx: ReplayContext) -> None:
-        w = ctx.registry_j[self.below]
-        new = ReplayNode(self.node_label, self.edge_label, tag=self.tag)
-        parent = w.parent
-        pos = parent.children.index(w)
-        parent.children[pos] = new
-        new.parent = parent
-        new.children = [w]
-        w.parent = new
-        w.edge_label = self.below_edge_label
-        w.tag = self.below_tag
-        ctx.registry_j[self.node] = new
-
-
-# ---------------------------------------------------------------------------
 # Extraction
 
 GroupMapping = list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -701,67 +581,55 @@ def extract_fusion_script(state: FusionDPState) -> tuple[EditScript, GroupMappin
     decisions = Decisions()
 
     def marks_for(side: _Side, r: int, path: FusionPath) -> tuple[MarkInfo, ...]:
+        """The marks of a fusion path; on the B side, the subtrees its edge
+        splits displace are recorded as inserted node by node."""
         out = []
-        for k in range(len(path)):
-            prefix = path[:k]
-            kind, child = path[k]
-            info = side.info(r, prefix)
-            after = side.info(r, path[:k + 1])
-            if kind == NODE_MARK:
+        for k, (kind, child) in enumerate(path):
+            info, after = side.info(r, path[:k]), side.info(r, path[:k + 1])
+            if kind == "node":
                 cost = side.fuse_node(info.merged, side.t.pair(child))
                 displaced: tuple[int, ...] = ()
             else:
                 cost = side.fuse_edge(info.merged, side.t.pair(child))
                 displaced = side.displaced_ids(info, child)
-            out.append(MarkInfo("node" if kind == NODE_MARK else "edge",
-                                child, cost, after.merged, displaced,
-                                after.identity))
+                if not side.left:
+                    decisions.inserted.extend((d, (), side.cost1[d]) for d in displaced)
+            out.append(MarkInfo(kind, child, cost, after.merged, displaced, after.identity))
         return tuple(out)
 
-    def record_j_displaced(marks: tuple[MarkInfo, ...]) -> None:
-        for mk in marks:
-            for d in mk.displaced:
-                decisions.plain_inserts.append((d, sb.cost1[d]))
-
-    def record_removal(side: _Side, sid: int, plain: list, grouped: list) -> None:
+    def record_removal(side: _Side, sid: int) -> None:
         """Record removing the rightmost root of a state: a fused group
-        as one object, otherwise one plain node."""
+        as one object, otherwise one node."""
         key = side.states[sid]
-        if key[0] == "t" and key[2]:
-            marks = marks_for(side, key[1], key[2])
-            grouped.append((key[1], marks, side.rcost[sid]))
-            if not side.left:
-                record_j_displaced(marks)
-        else:
-            plain.append((key[1] if key[0] == "t" else key[2], side.rcost[sid]))
+        root, marks = (key[1], marks_for(side, key[1], key[2])) if key[0] == "t" else (key[2], ())
+        removed = decisions.deleted if side.left else decisions.inserted
+        removed.append((root, marks, side.rcost[sid]))
 
-    def spill(side: _Side, sid: int, plain: list, grouped: list) -> None:
+    def spill(side: _Side, sid: int) -> None:
         """Record removing a whole state (the opposite side is empty), one
         rightmost root at a time."""
         while sid:
-            record_removal(side, sid, plain, grouped)
+            record_removal(side, sid)
             sid = side.rest[sid]
 
     stack = [(len(sa.states) - 1, len(sb.states) - 1)]
     while stack:
         i, j = stack.pop()
         if i == 0:
-            spill(sb, j, decisions.plain_inserts, decisions.inserted_groups)
+            spill(sb, j)
             continue
         if j == 0:
-            spill(sa, i, decisions.plain_deletes, decisions.deleted_groups)
+            spill(sa, i)
             continue
         line, cost, pairs = _best_line(sa, sb, table, i, j)
         if line == 0 and sa.is_tree[i] and sb.is_tree[j]:
             ka, kb = sa.states[i], sb.states[j]
-            j_marks = marks_for(sb, kb[1], kb[2])
             decisions.groups.append(GroupDecision(
-                ka[1], marks_for(sa, ka[1], ka[2]), kb[1], j_marks, cost))
-            record_j_displaced(j_marks)
+                ka[1], marks_for(sa, ka[1], ka[2]), kb[1], marks_for(sb, kb[1], kb[2]), cost))
         elif line == 1:
-            record_removal(sa, i, decisions.plain_deletes, decisions.deleted_groups)
+            record_removal(sa, i)
         elif line == 2:
-            record_removal(sb, j, decisions.plain_inserts, decisions.inserted_groups)
+            record_removal(sb, j)
         # A decomposition, a fusion or a B split records nothing here: a
         # fusion path is carried in the next state and resolved at its
         # terminal line.

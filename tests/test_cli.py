@@ -62,6 +62,21 @@ class TestCompare:
         assert code == 3
         assert "t must be >= 0" in err
 
+    @pytest.mark.parametrize("command", ["compare", "validate"])
+    def test_negative_kind_penalty_is_config_error(self, stem_file, tmp_path, capsys,
+                                                   command):
+        longer = tmp_path / "stem15.db"
+        longer.write_text(">stem15\nGGGGGAAAAACCCCC\n(((((.....)))))\n")
+        config = tmp_path / "neg.cfg"
+        config.write_text("model = structural\nkind_penalty = -3\n")
+        argv = ([command, stem_file, str(longer), "--rep", "d"] if command == "compare"
+                else [command])
+        code = main(argv + ["--model", str(config)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "configuration error: kind_penalty must be >= 0, got -3.0\n"
+
     @pytest.mark.parametrize("value", ["inf", "1e400", "1e308", "nan"])
     def test_non_finite_t_is_config_error(self, stem_file, capsys, value):
         # 1e308 is finite, but not on the 2**-32 grid: 1e308 * 2**32 is inf.

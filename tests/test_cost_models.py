@@ -216,6 +216,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_model_config("model = unit\nbogus = 1\n")
 
+    def test_negative_kind_penalty_rejected(self):
+        with pytest.raises(ValueError, match=r"kind_penalty must be >= 0, got -3\.0"):
+            structural_model(kind_penalty=-3.0)
+
     def test_named_model(self):
         assert named_model("unit").name == "unit"
         assert named_model("structural", t=0.2).t == quantize(0.2)

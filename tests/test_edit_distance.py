@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -10,14 +11,16 @@ from collections import Counter
 
 import pytest
 
-from rnatreedit.cost_models import structural_model, unit_model
-from rnatreedit.edit_distance import (DPTables, _columns, _forest_pass, extract_script,
-                                      prepare, replay_script, validate_mapping,
-                                      zs_distance)
-from rnatreedit.fusion_distance import FusionParams, extract_fusion_script, fusion_dp
+from rnatreedit import edit_distance, fusion_distance
+from rnatreedit.cost_models import quantize, structural_model, unit_model
+from rnatreedit.edit_distance import (DPTables, EditOp, EditScript, InternalError, _columns,
+                                      _forest_pass, audit_script, extract_script, prepare,
+                                      replay_script, validate_mapping, zs_distance)
+from rnatreedit.fusion_distance import (FusionParams, compare_trees, extract_fusion_script,
+                                        fusion_dp)
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
-from rnatreedit.tree_model import (Label, LabeledTree, TreeNode, build, index,
+from rnatreedit.tree_model import (ROOT_LABEL, Label, LabeledTree, TreeNode, build, index,
                                    trees_equal, walk)
 
 from conftest import EDGE_LABELS, NODE_LABELS, stack_depth
@@ -451,6 +454,69 @@ class TestScript:
             script, _ = extract_script(tables)
             outs.add(tuple((op.kind, op.cost) for op in script.ops))
         assert len(outs) == 1
+
+
+
+class TestScriptLayer:
+    """The seven operations live beside the replay that checks them, and
+    the classical engine's module needs nothing of the fusion module."""
+
+    def test_every_operation_is_defined_here(self):
+        def ops(module):
+            return {v.kind for v in vars(module).values() if isinstance(v, type)
+                    and issubclass(v, EditOp) and v is not EditOp
+                    and v.__module__ == module.__name__}
+
+        assert ops(edit_distance) == {"delete", "insert", "relabel", "node_fusion",
+                                      "edge_fusion", "node_split", "edge_split"}
+        assert ops(fusion_distance) == set()
+
+    def test_no_import_from_the_fusion_module(self):
+        tree = ast.parse(open(edit_distance.__file__).read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any("fusion_distance" in name for name in names), ast.unparse(node)
+
+
+class TestAudit:
+    """Each half of the replay audit fails with a message of its own."""
+
+    @staticmethod
+    def pair():
+        """The smallest of the seeded pairs of at most 12 nodes on which an
+        off-grid model's ZS script costs 1.0 and its distance 0.9999999999999999:
+        root[a b] and root[b[b[a[a]]] a]."""
+        def n(kind, *kids):
+            return TreeNode(Label(kind), children=list(kids))
+
+        a = TreeNode(ROOT_LABEL, children=[n("a"), n("b")])
+        b = TreeNode(ROOT_LABEL, children=[n("b", n("b", n("a", n("a")))), n("a")])
+        return index(LabeledTree(a)), index(LabeledTree(b))
+
+    @staticmethod
+    def model(match, indel):
+        return dataclasses.replace(unit_model(), match_fn=lambda a, b: 0.0 if a == b else match,
+                                   del_fn=lambda a: indel, ins_fn=lambda a: indel)
+
+    def test_wrong_tree(self):
+        a, b = self.pair()
+        with pytest.raises(InternalError, match="failed to reproduce the target tree"):
+            audit_script(a, b, EditScript(), 0.0)
+
+    def test_wrong_cost(self):
+        a, b = self.pair()
+        for cap in (0, 1):
+            with pytest.raises(InternalError) as err:
+                compare_trees(a, b, self.model(0.1, 0.3), FusionParams(cap=cap))
+            assert str(err.value) == "script costs 1.0, the distance is 0.9999999999999999"
+
+    def test_prices_on_the_grid_pass(self):
+        a, b = self.pair()
+        for cap in (0, 1):
+            d, script, _, _ = compare_trees(a, b, self.model(quantize(0.1), quantize(0.3)),
+                                            FusionParams(cap=cap))
+            assert script.total_cost == d
 
 
 def _label(k, distinct):

@@ -340,9 +340,9 @@ class TestExtractionPaths:
     @pytest.mark.filterwarnings("ignore:cost model")
     def test_fused_group_deleted_whole(self, compare):
         a, _, script, decisions = compare(*self.DELETED, SCALED)
-        assert decisions.deleted_groups
-        for root, marks, cost in decisions.deleted_groups:
-            assert marks
+        fused = [d for d in decisions.deleted if d[1]]
+        assert fused
+        for root, marks, cost in fused:
             ops = [(op.kind, op.cost) for op in script.ops
                    if getattr(op, "node", None) == root or getattr(op, "rep", None) == root]
             assert ("delete", cost) in ops
@@ -351,10 +351,11 @@ class TestExtractionPaths:
     @pytest.mark.filterwarnings("ignore:cost model")
     def test_fused_group_inserted_whole(self, compare):
         _, b, script, decisions = compare(*reversed(self.DELETED), SCALED)
-        assert decisions.inserted_groups
+        fused = [marks for _, marks, _ in decisions.inserted if marks]
+        assert fused
         inserted = {op.node for op in script.ops if op.kind == "insert"}
-        for _, marks, _ in decisions.inserted_groups:
-            assert marks and marks[-1].identity in inserted
+        for marks in fused:
+            assert marks[-1].identity in inserted
         assert any(op.kind.endswith("_split") for op in script.ops)
 
     DISPLACED = (mk(ROOT_LABEL, None, mk(MULTI, H1, mk(HAIRPIN, H1), mk(BULGE, H1)),
@@ -376,7 +377,7 @@ class TestExtractionPaths:
         displaced = {d for g in decisions.groups for mk_ in g.j_marks
                      if mk_.kind == "edge" for d in mk_.displaced}
         assert displaced
-        assert displaced <= {node for node, _ in decisions.plain_inserts}
+        assert displaced <= {node for node, marks, _ in decisions.inserted if not marks}
         assert displaced <= {op.node for op in script.ops if op.kind == "insert"}
 
     def test_edge_fusion_reparents_grandchildren(self, compare):
