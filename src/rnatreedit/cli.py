@@ -183,6 +183,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_batch(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     pairs = []
     for line_no, line in enumerate(_read_text(args.pairs_file).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -193,7 +195,7 @@ def cmd_compare_batch(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise ConfigError(f"pairs file line {line_no}: expected two paths")
         pairs.append((parts[0], parts[1]))
-    jobs = min(max(1, args.jobs), len(pairs))
+    jobs = min(args.jobs, len(pairs))
     if jobs <= 1:
         results = _run_batch(args, pairs)
     else:
@@ -300,6 +302,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_nodes > oracle.MAX_ORACLE_NODES:
         raise ConfigError(
             f"--max-nodes above the oracle budget ({oracle.MAX_ORACLE_NODES})")
+    for flag, value in (("--max-nodes", args.max_nodes), ("--samples", args.samples)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     model = _model_from_args(args)
     rng = random.Random(args.seed)
     failures = run_verification(model, rng, exhaustive_max=args.max_nodes,

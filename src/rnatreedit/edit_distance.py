@@ -31,9 +31,15 @@ price of the one subtree plus the insert price of the other, taken from
 prefix sums.  That is exact, not an estimate, when every price is on the
 2**-32 grid of the built-in models and all of them together stay below
 2**20, as then every order of summation gives the same float; with other
-prices every pass runs.  ``DPTables.cells`` counts the forest cells
-actually filled.  The table that results is the full node-indexed one,
-the same floats as when every pass runs.
+prices every pass runs.
+
+Similar trees need few cells.  A mapping that leaves u nodes unmapped
+only pairs nodes whose postorder positions differ by at most u, so when
+a cost bound certifies that every optimal mapping leaves at most k nodes
+unmapped, each forest table is filled only in the band of cells whose
+row and column differ by at most k (see ``zs_distance``).  The distance,
+script and mapping are then those of the unbanded fill, bit for bit.
+``DPTables.cells`` counts the forest cells actually filled.
 
 This module also owns the script layer both engines share: all seven
 edit operations (delete, insert and relabel; node fusion, edge fusion
@@ -401,12 +407,20 @@ class PreparedTree(IndexedTree):
 class DPTables:
     """Persistent subtree-distance table plus what backtracking needs.
 
-    ``match_table[ca][cb]`` is the relabel cost between label class
-    ``ca`` of ``a`` and ``cb`` of ``b``: ``inf``, never priced, for a
-    pair whose colors differ or are missing.  ``cells`` counts the
-    forest-table cells ``zs_distance`` filled, so the passes it left to
-    twin subtrees, and those it skipped for subtrees that share no color,
-    are not in it.
+    ``treedist[i][j]`` is the distance between the subtrees of node i of
+    ``a`` and node j of ``b``: exact on every subtree pair an optimal
+    mapping uses, never below the exact distance, and inf where no cell
+    was filled (index 0 is unused).  ``band`` is the width k of the
+    band the forest tables were filled in, counted from each table's
+    leftmost leaves, or ``None`` when every cell was filled; extraction
+    refills each table it walks at the same band.  ``match_table[ca][cb]``
+    is the relabel cost between label class ``ca`` of ``a`` and ``cb`` of
+    ``b``: ``inf``, never priced, for a pair whose colors differ or are
+    missing.  ``cells`` counts the forest-table cells of the fill that
+    produced these tables (a first fill at a band the certificate
+    rejected is not in it), so the passes left to twin subtrees, those
+    skipped for subtrees that share no color, and the cells outside the
+    band are not in it either.
     """
 
     a: PreparedTree
@@ -414,6 +428,7 @@ class DPTables:
     treedist: list[list[float]]
     distance: float
     match_table: list[list[float]]
+    band: Optional[int] = None
     cells: int = 0
 
 
@@ -478,26 +493,72 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
     Each tree goes through ``prepare`` under ``m``; two nodes of trees
     prepared with colors match only when their colors are equal and not
     ``None``: every other class pair holds ``inf`` in the match table and
-    is never priced.  The forest pass of a keyroot pair whose subtrees
-    share no color is skipped when the prices allow it exactly (see
-    ``_disjoint_subtrees``); the subtree distances it would have written,
-    delete price plus insert price, are written before the passes of its
-    keyroot of ``a`` run, so twin copies and later passes read them.
+    is never priced.
+
+    The tables are filled in a band of width k when a band can be
+    certified.  A mapping that leaves u nodes unmapped pairs nodes whose
+    postorder positions, counted from the leftmost leaves of any subtree
+    pair it maps into each other, differ by at most u, so a fill that
+    computes only the forest cells with |row - column| <= k still finds
+    every mapping with u <= k.  Each mapping costs at least u times the
+    smallest delete or insert price p, so a banded distance D below
+    (k + 1) p is the unbanded one, bit for bit: the optimal mappings it
+    stands for all lie in the band.  k starts at the cost of aligning the
+    two postorder node sequences at the same prices, a lower bound on the
+    distance, over p; if D fails the test, one more fill at k = D / p
+    passes it.  The tables are filled unbanded when the band would be as
+    wide as the larger tree, when a delete or insert price is not
+    positive, when a match price is negative, or when the prices are not
+    summed exactly (see ``_exact_sums``).
     """
     _warn_unvalidated(m)
     a, b = prepare(a, m), prepare(b, m)
     match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
                     for q, d in b.keys] for p, c in a.keys]
-    treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
-    tables = DPTables(a, b, treedist, 0.0, match_table)
+    unit = min(a.del_costs[1:] + b.ins_costs[1:])
+    # The widest band that still leaves out cells of the larger tree's
+    # tables: 2k + 1 below its size.
+    widest = (max(a.n, b.n) - 2) // 2
+    band = None
+    if (widest >= 1 and unit > 0 and min(map(min, match_table)) >= 0
+            and _exact_sums(a, b)):
+        band = _band_for(_alignment(a, b, match_table, unit, (widest + 1) * unit),
+                         unit, widest)
+    while True:
+        tables = _fill(a, b, match_table, band)
+        if band is None or tables.distance < (band + 1) * unit:
+            return tables.distance, tables
+        # Not certified: the distance is at least (band + 1) * unit, so
+        # the next band is wider, and certified.
+        band = _band_for(tables.distance, unit, widest)
+
+
+def _band_for(cost: float, unit: float, widest: int) -> Optional[int]:
+    """The band k = max(1, floor(cost / unit)), or ``None`` above ``widest``."""
+    q = cost / unit
+    return max(1, int(q)) if q < widest + 1 else None
+
+
+def _fill(a: PreparedTree, b: PreparedTree, match_table: list[list[float]],
+          band: Optional[int]) -> DPTables:
+    """The keyroot loop, at ``band`` (``None``: every cell).
+
+    The forest pass of a keyroot pair whose subtrees share no color is
+    skipped when the prices allow it exactly (see ``_disjoint_subtrees``);
+    the subtree distances it would have written in the band, delete price
+    plus insert price, are written before the passes of its keyroot of
+    ``a`` run, so twin copies and later passes read them.
+    """
+    # Row 0 and column 0 are unused; a cell no pass fills stays at inf.
+    treedist = [[0.0] * (b.n + 1)] + [[0.0] + [math.inf] * b.n for _ in range(a.n)]
+    tables = DPTables(a, b, treedist, 0.0, match_table, band)
+    reach = band if band is not None else a.n + b.n
     # Node g of a twin keyroot k corresponds to node g - k + k0 of its
     # first k0: their subtree distances are the same floats.
     twins_a, twins_b = a.twins, b.twins
     la, lb = a.l, b.l
     columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
-               if j in twins_b else _columns(b, j) for j in b.keyroots]
-    live_b = [j for j in b.keyroots if j not in twins_b]
-    width = sum(j - lb[j] + 1 for j in live_b)
+               if j in twins_b else _columns(b, j, band) for j in b.keyroots]
     disjoint = _disjoint_subtrees(a, b)
     if disjoint:
         mask_a, del_a, mask_b, ins_b = disjoint
@@ -510,31 +571,91 @@ def zs_distance(a: IndexedTree, b: IndexedTree, m: CostModel) -> tuple[float, DP
                 if la[gi] == li:
                     treedist[gi][:] = treedist[gi - i + i0]
             continue
-        cols, skipped = columns, 0
+        cols = columns
         if disjoint:
             mi = mask_a[i]
             plan = plans.get(mi)
             if plan is None:
                 # Per color mask of i: the columns left to run, and the
-                # leftmost-path nodes (with their subtrees' insert prices)
-                # and width of the keyroots j whose subtrees share no color.
-                skip = [j for j in live_b if not mask_b[j] & mi]
+                # leftmost-path nodes (with their columns and their
+                # subtrees' insert prices) of the keyroots j whose
+                # subtrees share no color.
                 plan = plans[mi] = (
                     [col for j, col in zip(b.keyroots, columns)
                      if j in twins_b or mask_b[j] & mi],
-                    [(gj, ins_b[gj]) for j in skip for gj in range(lb[j], j + 1)
-                     if lb[gj] == lb[j]],
-                    sum(j - lb[j] + 1 for j in skip))
-            cols, path_b, skipped = plan
+                    [(gj, gj - lb[j] + 1, ins_b[gj]) for j in b.keyroots
+                     if j not in twins_b and not mask_b[j] & mi
+                     for gj in range(lb[j], j + 1) if lb[gj] == lb[j]])
+            cols, path_b = plan
             for gi in range(li, i + 1):
                 if la[gi] == li:
-                    d, tdi = del_a[gi], treedist[gi]
-                    for gj, cost in path_b:
-                        tdi[gj] = d + cost
-        _forest_pass(tables, i, cols)
-        tables.cells += (i - li + 1) * (width - skipped)
+                    x, d, tdi = gi - li + 1, del_a[gi], treedist[gi]
+                    for gj, y, cost in path_b:
+                        if -reach <= x - y <= reach:
+                            tdi[gj] = d + cost
+        tables.cells += _forest_pass(tables, i, cols)[0]
     tables.distance = treedist[a.n][b.n]
-    return tables.distance, tables
+    return tables
+
+
+def _alignment(a: PreparedTree, b: PreparedTree, match_table: list[list[float]],
+               unit: float, limit: float) -> float:
+    """The cheapest alignment of the postorder node sequences of ``a`` and
+    ``b`` at ZS's delete, insert and match prices if it is below ``limit``,
+    else a cost of at least ``limit``.
+
+    A tree mapping keeps postorder, so it is such an alignment and the
+    tree distance is at least this cost.  Each row is trimmed at both
+    ends while its cell's cost, plus ``unit`` (the smallest delete or
+    insert price) for each gap still needed to reach the last cell,
+    reaches ``limit``; the next row runs only under what is left, and the
+    alignment stops when nothing is.
+    """
+    inf = math.inf
+    ins, classes, width = b.ins_costs, b.cls, b.n
+    shift = a.n - b.n
+    pad = [inf] * (width + 1)
+    up_row = list(accumulate(ins))
+    first, last = 0, width
+    for x in range(a.n + 1):
+        if x:
+            last = min(last + 1, width)
+            dgi, mrow = a.del_costs[x], match_table[a.cls[x]]
+            if first:
+                left, lo = inf, first
+                row = pad[:first]
+            else:
+                left, lo = up_row[0] + dgi, 1
+                row = [left]
+            diag = up_row[lo - 1]
+            for up, cost, c in zip(up_row[lo:last + 1], ins[lo:last + 1],
+                                   classes[lo:last + 1]):
+                w = left + cost
+                left = up + dgi
+                if w < left:
+                    left = w
+                w = diag + mrow[c]
+                if w < left:
+                    left = w
+                row.append(left)
+                diag = up
+            up_row = row + pad[:width - last]
+        while first <= last and up_row[first] + unit * abs(shift - x + first) >= limit:
+            first += 1
+        while first <= last and up_row[last] + unit * abs(shift - x + last) >= limit:
+            last -= 1
+        if first > last:
+            return limit
+    return up_row[width]
+
+
+def _exact_sums(a: PreparedTree, b: PreparedTree) -> bool:
+    """Whether every order of summing delete and insert prices gives the
+    same float: when each price is on the 2**-32 grid of the built-in
+    models and all of them together stay below 2**20."""
+    prices = a.del_costs + b.ins_costs
+    return (sum(map(abs, prices)) < 2.0 ** 20
+            and all(quantize(p) == p for p in set(prices)))
 
 
 def _disjoint_subtrees(a: PreparedTree, b: PreparedTree) -> Optional[tuple[list, ...]]:
@@ -544,9 +665,7 @@ def _disjoint_subtrees(a: PreparedTree, b: PreparedTree) -> Optional[tuple[list,
     A pass over subtrees with no color in common can match no node, so
     each of its subtree distances is the delete price of the one subtree
     plus the insert price of the other, whatever the path.  Those sums
-    are the floats the pass would compute only when every order of
-    summation gives the same float: when each price is on the 2**-32 grid
-    of the built-in models and all of them together stay below 2**20.
+    are the floats the pass would compute only when ``_exact_sums``.
     Returns, per node of ``a``, the bits of the colors in its subtree that
     ``b`` has too, and its subtree's delete price; and the same for ``b``,
     with insert prices.
@@ -555,9 +674,7 @@ def _disjoint_subtrees(a: PreparedTree, b: PreparedTree) -> Optional[tuple[list,
     colors_b = {c for _, c in b.keys}
     if len(colors_a | colors_b) == 1 and None not in colors_a:
         return None  # one color on every node: every pass may match
-    prices = a.del_costs + b.ins_costs
-    if not (sum(map(abs, prices)) < 2.0 ** 20
-            and all(quantize(p) == p for p in set(prices))):
+    if not _exact_sums(a, b):
         return None
     bit = {c: 1 << k for k, c in enumerate((colors_a & colors_b) - {None})}
     return (*_subtree_sums(a, a.del_costs, bit), *_subtree_sums(b, b.ins_costs, bit))
@@ -574,14 +691,16 @@ def _subtree_sums(t: PreparedTree, costs: list[float], bit: dict) -> tuple[list,
     return mask, [0.0] + [prefix[i] - prefix[t.l[i] - 1] for i in range(1, t.n + 1)]
 
 
-def _columns(t: PreparedTree, j: int) -> tuple:
+def _columns(t: PreparedTree, j: int, band: Optional[int]) -> tuple:
     """Column data of every forest pass anchored at T' node j.
 
-    For the columns y = 1..j-joff (node gj = y + joff, joff = l(j) - 1):
-    the insert costs, the column ``l(gj) - 1 - joff`` where the forest
-    left of gj's subtree ends, whether gj lies on the leftmost path of
-    j, and the label classes; plus row 0 of the forest table (cumulative
-    insert costs, only ever read) and the slice and range of the nodes.
+    Row 0 of the forest table (cumulative insert costs up to column
+    ``band``, inf beyond it; only ever read); per column y = 1..j-joff
+    (node gj = y + joff, joff = l(j) - 1), for the rows of the leftmost
+    path of i: gj, its insert cost, the column ``l(gj) - 1 - joff`` where
+    the forest left of gj's subtree ends, whether gj lies on the leftmost
+    path of j, and its label class; for the other rows the insert cost
+    and that column; and the slice of the nodes.
     """
     lb = t.l
     joff = lb[j] - 1
@@ -589,37 +708,41 @@ def _columns(t: PreparedTree, j: int) -> tuple:
     span = slice(joff + 1, j + 1)
     ins = t.ins_costs[span]
     row0 = [0.0]
-    for cost in ins:
+    for cost in ins[:band]:
         row0.append(row0[-1] + cost)
+    row0 += [math.inf] * (len(ins) + 1 - len(row0))
     prefix = [lb[gj] - 1 - joff for gj in nodes]
     on_path = [lb[gj] == lb[j] for gj in nodes]
-    return row0, ins, prefix, on_path, t.cls[span], span, nodes
+    return (row0, list(zip(nodes, ins, prefix, on_path, t.cls[span])),
+            list(zip(ins, prefix)), span)
 
 
-def _forest_pass(t: DPTables, i: int, cols: list[tuple],
-                 keep: bool = False) -> Optional[list[list[float]]]:
+def _forest_pass(t: DPTables, i: int, cols: list[tuple]) -> tuple[int, list[list[float]]]:
     """Forest tables for the subtree pairs anchored at (i, j), j in turn.
 
-    ``cols`` holds ``_columns(t, j)`` for each j, or for a j whose subtree
-    equals that of an earlier j0 the pair (slice of j's subtree, slice of
-    j0's): its treedist cells on the leftmost path of i are then copied
-    from j0's, at the point where its own table would have been built,
-    since later tables read them.  (The other cells of those slices
-    already hold equal floats: they come from the tables of keyroots
-    inside the two subtrees, which are twins at the same offsets.)  The
-    row data of i (for each node gi of its subtree, in postorder: its
-    delete cost, its treedist row, its class's match-table row when gi
-    lies on the leftmost path of i, and the forest row left of its
-    subtree) is read once for all of them.  Each table is built row by
-    row, each row left to right.  A cell takes the cheapest of: delete
-    (from above), insert (from the left), and either a match, when both
-    nodes lie on the leftmost paths of i and j (diagonal plus the class
-    match cost; the cell is then a subtree distance and is written to
-    treedist), or the forest left of both subtrees plus their treedist.
-    The candidates are compared in that order with strict ``<``, so the
-    first minimum wins, as with ``min``.  With ``keep`` the last table is
-    returned for backtracking.
+    ``cols`` holds ``_columns(t, j, t.band)`` for each j, or for a j whose
+    subtree equals that of an earlier j0 the pair (slice of j's subtree,
+    slice of j0's): its treedist cells on the leftmost path of i are then
+    copied from j0's, at the point where its own table would have been
+    built, since later tables read them.  (The other cells of those
+    slices already hold equal floats: they come from the tables of
+    keyroots inside the two subtrees, which are twins at the same
+    offsets.)  The row data of i (for each node gi of its subtree, in
+    postorder: its delete cost, its treedist row, its class's match-table
+    row when gi lies on the leftmost path of i, and the forest row left
+    of its subtree) is read once for all of them.  Each table is built
+    row by row; row x runs the columns lo..hi within ``t.band`` of x
+    (1..C when the band holds the whole table), left to right, and holds
+    inf outside them.  A cell takes the cheapest of: delete (from above),
+    insert (from the left), and either a match, when both nodes lie on
+    the leftmost paths of i and j (diagonal plus the class match cost;
+    the cell is then a subtree distance and is written to treedist), or
+    the forest left of both subtrees plus their treedist.  The candidates
+    are compared in that order with strict ``<``, so the first minimum
+    wins, as with ``min``.  Returns the number of cells filled and the
+    last table.
     """
+    inf = math.inf
     la = t.a.l
     li = la[i]
     match_table, class_a = t.match_table, t.a.cls
@@ -627,6 +750,8 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
              match_table[class_a[gi]] if la[gi] == li else None, la[gi] - li)
             for gi in range(li, i + 1)]
     path_rows = [tdi for _, tdi, mrow, _ in rows if mrow is not None]
+    band = t.band
+    cells = 0
     fd: list[list[float]] = []
     for col in cols:
         if len(col) == 2:
@@ -634,20 +759,43 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
             for tdi in path_rows:
                 tdi[dst] = tdi[src]
             continue
-        row0, ins, prefix, on_path, classes, span, nodes = col
+        row0, path_cols, forest_cols, span = col
+        width = len(forest_cols)
         fd = [row0]
         up_row = row0
+        # A table inside the band runs every row over all its columns.
+        lo, hi = 1, width
+        up_cut, td_cut = slice(1, None), span
+        whole = band is None or band >= max(len(rows), width)
+        if whole:
+            cells += len(rows) * width
+        else:
+            pad = [inf] * (width + 1)
+        x = 0
         for dgi, tdi, mrow, fx in rows:
-            left = up_row[0] + dgi
-            row = [left]
             # ``left`` takes the delete candidate, then the running
             # minimum, which is the next cell's left neighbour.
+            left = up_row[0] + dgi
+            if whole:
+                row = [left]
+            else:
+                x += 1
+                lo = x - band if x > band else 1
+                hi = x + band if x + band < width else width
+                if lo > hi:
+                    break
+                cells += hi - lo + 1
+                if x > band:
+                    left = inf  # column 0 has left the band
+                row = pad[:lo]
+                row[0] = left
+                up_cut, td_cut = slice(lo, hi + 1), slice(span.start + lo - 1, span.start + hi)
             if mrow is not None:
                 # gi is on the leftmost path of i: the forest left of its
                 # subtree is row 0.
-                diag = up_row[0]
-                for gj, up, cost, p, on, c in zip(nodes, up_row[1:], ins, prefix,
-                                                  on_path, classes):
+                diag = up_row[lo - 1]
+                for (gj, cost, p, on, c), up in zip(path_cols if whole else path_cols[lo - 1:hi],
+                                                    up_row[up_cut]):
                     w = left + cost
                     left = up + dgi
                     if w < left:
@@ -665,7 +813,8 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
                     diag = up
             else:
                 forest = fd[fx]
-                for up, cost, p, td in zip(up_row[1:], ins, prefix, tdi[span]):
+                for (cost, p), up, td in zip(forest_cols if whole else forest_cols[lo - 1:hi],
+                                             up_row[up_cut], tdi[td_cut]):
                     w = left + cost
                     left = up + dgi
                     if w < left:
@@ -674,9 +823,11 @@ def _forest_pass(t: DPTables, i: int, cols: list[tuple],
                     if w < left:
                         left = w
                     row.append(left)
+            if hi < width:
+                row += pad[:width - hi]
             fd.append(row)
             up_row = row
-    return fd if keep else None
+    return cells, fd
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +857,7 @@ def extract_script(tables: DPTables) -> tuple[EditScript, Mapping]:
         ioff = a.l[i] - 1
         joff = b.l[j] - 1
         if fd is None:
-            fd = _forest_pass(tables, i, [_columns(b, j)], keep=True)
+            fd = _forest_pass(tables, i, [_columns(b, j, tables.band)])[1]
             x, y = i - ioff, j - joff
         while x > 0 or y > 0:
             gi, gj = x + ioff, y + joff

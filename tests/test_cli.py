@@ -322,6 +322,15 @@ class TestVerify:
         code = main(["verify", "--max-nodes", "9"])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--samples", "--max-nodes"])
+    def test_negative_size_is_config_error(self, capsys, flag):
+        code = main(["verify", flag, "-1", "--max-nodes" if flag == "--samples" else "--samples",
+                     "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {flag} must be >= 0, got -1\n"
+
 
 class TestMultilevel:
     def test_identical_structures(self, stem_file, capsys):
@@ -517,6 +526,21 @@ class TestBatch:
         assert code == 3
         assert captured.out == ""
         assert captured.err == "configuration error: l must be in [0, 3]\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, batch, capsys, monkeypatch, jobs):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _, pairs_file, _ = batch
+        code = main(["compare-batch", pairs_file, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"configuration error: --jobs must be >= 1, got {jobs}\n"
 
     def test_batch_pairs(self, tmp_path, capsys):
         rng = random.Random(3)

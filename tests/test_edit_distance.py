@@ -20,6 +20,7 @@ from rnatreedit.fusion_distance import (FusionParams, compare_trees, extract_fus
                                         fusion_dp)
 from rnatreedit.generators import labeled_trees, random_structure, random_tree
 from rnatreedit.oracle import mapping_oracle
+from rnatreedit.rna_structures import SecondaryStructure
 from rnatreedit.tree_model import (ROOT_LABEL, Label, LabeledTree, TreeNode, build, index,
                                    trees_equal, walk)
 
@@ -215,18 +216,35 @@ class TestColors:
                 assert (cost == math.inf) == forbidden
 
 
-def every_pass_zs(a, b, m):
-    """The keyroot loop that runs the forest pass of every non-twin pair,
-    including pairs of subtrees that share no color."""
+def band_cells(rows, cols, band):
+    """Cells (x, y) of a ``rows`` x ``cols`` forest table with |x - y| <=
+    ``band``: all of them when ``band`` is None."""
+    return sum(1 for x in range(1, rows + 1) for y in range(1, cols + 1)
+               if band is None or abs(x - y) <= band)
+
+
+def keyroot_cells(a, b, band=None, live=False, skip=lambda i, j: False):
+    """Forest cells of one pass per keyroot pair (i, j) at ``band``, over
+    the keyroots that are not twins when ``live``, but for the pairs
+    ``skip`` names."""
+    ka = [i for i in a.keyroots if not live or i not in a.twins]
+    kb = [j for j in b.keyroots if not live or j not in b.twins]
+    return sum(band_cells(i - a.l[i] + 1, j - b.l[j] + 1, band)
+               for i in ka for j in kb if not skip(i, j))
+
+
+def every_pass_zs(a, b, m, band=None):
+    """The keyroot loop that runs the forest pass of every non-twin pair at
+    ``band``, including pairs of subtrees that share no color."""
     a, b = prepare(a, m), prepare(b, m)
     match_table = [[m.cost_match(p, q) if c is not None and c == d else math.inf
                     for q, d in b.keys] for p, c in a.keys]
-    treedist = [[0.0] * (b.n + 1) for _ in range(a.n + 1)]
-    tables = DPTables(a, b, treedist, 0.0, match_table)
+    treedist = [[0.0] * (b.n + 1)] + [[0.0] + [math.inf] * b.n for _ in range(a.n)]
+    tables = DPTables(a, b, treedist, 0.0, match_table, band)
     twins_a, twins_b = a.twins, b.twins
     la, lb = a.l, b.l
     columns = [(slice(lb[j], j + 1), slice(lb[twins_b[j]], twins_b[j] + 1))
-               if j in twins_b else _columns(b, j) for j in b.keyroots]
+               if j in twins_b else _columns(b, j, band) for j in b.keyroots]
     for i in a.keyroots:
         i0 = twins_a.get(i)
         if i0 is None:
@@ -235,8 +253,7 @@ def every_pass_zs(a, b, m):
         for gi in range(la[i], i + 1):
             if la[gi] == la[i]:
                 treedist[gi][:] = treedist[gi - i + i0]
-    tables.cells = (sum(i - la[i] + 1 for i in a.keyroots if i not in twins_a)
-                    * sum(j - lb[j] + 1 for j in b.keyroots if j not in twins_b))
+    tables.cells = keyroot_cells(a, b, band, live=True)
     tables.distance = treedist[a.n][b.n]
     return tables.distance, tables
 
@@ -275,7 +292,8 @@ class TestDisjointColorSkip:
             (a, ca), (b, cb) = (_colored_tree(rng, rng.randint(1, 25), self.PALETTE)
                                 for _ in range(2))
             _, tables = colored_zs(a, b, model, (ca, cb))
-            _, ref = every_pass_zs(prepare(a, model, ca), prepare(b, model, cb), model)
+            _, ref = every_pass_zs(prepare(a, model, ca), prepare(b, model, cb), model,
+                                   tables.band)
             assert _exact_results(tables) == _exact_results(ref)
             assert tables.cells <= ref.cells
             skipped += tables.cells < ref.cells
@@ -288,6 +306,7 @@ class TestDisjointColorSkip:
                                 for _ in range(2))
             _, tables = colored_zs(a, b, model, (ca, cb))
             _, ref = every_pass_zs(prepare(a, model, ca), prepare(b, model, cb), model)
+            assert tables.band is None
             assert _exact_results(tables) == _exact_results(ref)
             assert tables.cells == ref.cells
 
@@ -300,14 +319,155 @@ class TestDisjointColorSkip:
         def subtree_colors(t, colors, k):
             return {colors[g] for g in t.subtree_nodes(k)} - {None}
 
-        live_a = [i for i in a.keyroots if i not in tables.a.twins]
-        live_b = [j for j in b.keyroots if j not in tables.b.twins]
-        skipped = sum(len(a.subtree_nodes(i)) * len(b.subtree_nodes(j))
-                      for i in live_a for j in live_b
-                      if not subtree_colors(a, ca, i) & subtree_colors(b, cb, j))
-        assert skipped > 0
-        assert tables.cells == (sum(len(a.subtree_nodes(i)) for i in live_a)
-                                * sum(len(b.subtree_nodes(j)) for j in live_b) - skipped)
+        def disjoint(i, j):
+            return not subtree_colors(a, ca, i) & subtree_colors(b, cb, j)
+
+        every = keyroot_cells(tables.a, tables.b, tables.band, live=True)
+        assert keyroot_cells(tables.a, tables.b, tables.band, live=True, skip=disjoint) < every
+        assert tables.cells == keyroot_cells(tables.a, tables.b, tables.band, live=True,
+                                             skip=disjoint)
+
+
+def _similar_pair(rng, length):
+    """Per-base trees of a random structure and of the same sequence with
+    one or two of its pairs opened."""
+    s = random_structure(rng, length)
+    drop = set(rng.sample(range(len(s.pairs)), min(rng.randint(1, 2), len(s.pairs))))
+    v = SecondaryStructure(s.sequence, tuple(p for k, p in enumerate(s.pairs) if k not in drop))
+    return index(build(s, "b")), index(build(v, "b"))
+
+
+def _block_colors(t):
+    """Per node of a per-base tree, the block of six bases its first base
+    lies in, so related trees get related colors; the root has none."""
+    return [None] + [t.nodes[i].origin[1] // 6 if t.nodes[i].origin[0] != "root" else None
+                     for i in range(1, t.n + 1)]
+
+
+def naive_banded_zs(tables, band):
+    """The subtree-distance table of the textbook keyroot program at
+    ``band``, from the prepared trees and match table of ``tables``: one
+    forest table per keyroot pair, a dict holding only the cells with
+    |x - y| <= ``band``, each cell the ``min`` of its candidates, a cell
+    outside the band counting as inf."""
+    a, b, match = tables.a, tables.b, tables.match_table
+    treedist = [[0.0] * (b.n + 1)] + [[0.0] + [math.inf] * b.n for _ in range(a.n)]
+    for i in a.keyroots:
+        for j in b.keyroots:
+            li, lj = a.l[i], b.l[j]
+            fd = {(0, 0): 0.0}
+
+            def cell(x, y):
+                return fd.get((x, y), math.inf)
+
+            for x in range(i - li + 2):
+                for y in range(j - lj + 2):
+                    if abs(x - y) > band or x == y == 0:
+                        continue
+                    gi, gj = x + li - 1, y + lj - 1
+                    costs = []
+                    if x:
+                        costs.append(cell(x - 1, y) + a.del_costs[gi])
+                    if y:
+                        costs.append(cell(x, y - 1) + b.ins_costs[gj])
+                    if x and y and a.l[gi] == li and b.l[gj] == lj:
+                        costs.append(cell(x - 1, y - 1) + match[a.cls[gi]][b.cls[gj]])
+                        treedist[gi][gj] = fd[x, y] = min(costs)
+                        continue
+                    if x and y:
+                        costs.append(cell(a.l[gi] - li, b.l[gj] - lj) + treedist[gi][gj])
+                    fd[x, y] = min(costs)
+    return treedist
+
+
+def _hexes(treedist):
+    return [[x.hex() for x in row] for row in treedist]
+
+
+def _outputs(tables):
+    """What a fill gives a user: the distance, the script and the mapping."""
+    distance, _, script, mapping = _exact_results(tables)
+    return distance, script, mapping
+
+
+class TestBand:
+    """A fill at any forced band width k puts every subtree distance at or
+    above the unbanded one, and whenever its distance is below (k + 1)
+    times the smallest delete or insert price it is the unbanded fill's
+    distance, script and mapping."""
+
+    MODELS = [unit_model(t=0.1), structural_model(t=0.05), unit_model(ins_scale=1.5)]
+
+    def pairs(self, rng):
+        for _ in range(10):
+            yield _similar_pair(rng, rng.randint(12, 30)), None
+        for _ in range(4):
+            a, b = _similar_pair(rng, rng.randint(12, 30))
+            yield (a, b), (_block_colors(a), _block_colors(b))
+        for _ in range(6):
+            yield tuple(index(random_tree(rng, rng.randint(1, 14), 3, NODE_LABELS, EDGE_LABELS))
+                        for _ in range(2)), None
+        for _ in range(3):
+            (a, ca), (b, cb) = (_colored_tree(rng, rng.randint(1, 14), (None, 0, 1))
+                                for _ in range(2))
+            yield (a, b), (ca, cb)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["unit", "structural", "ins_scale"])
+    @pytest.mark.filterwarnings("ignore:cost model 'unit' has not passed validation")
+    def test_forced_widths(self, rng, model):
+        certified = banded = 0
+        for (a, b), colors in self.pairs(rng):
+            _, ref = colored_zs(a, b, model, colors)
+            full = edit_distance._fill(ref.a, ref.b, ref.match_table, None)
+            expected = _exact_results(full)
+            if ref.band is None:
+                assert _exact_results(ref) == expected
+            else:
+                assert _outputs(ref) == _outputs(full)
+            unit = min(full.a.del_costs[1:] + full.b.ins_costs[1:])
+            for k in range(max(a.n, b.n) + 1):
+                tables = edit_distance._fill(full.a, full.b, full.match_table, k)
+                if k >= 1:
+                    # zs_distance never takes k = 0, where a pair of subtrees
+                    # that share no color is out of reach of a banded pass,
+                    # but not of the color skip
+                    assert _hexes(tables.treedist) == _hexes(naive_banded_zs(full, k)), k
+                assert all(x >= y for row, ref_row in zip(tables.treedist, full.treedist)
+                           for x, y in zip(row, ref_row))
+                if colors is None:
+                    assert tables.cells == keyroot_cells(full.a, full.b, k, live=True)
+                assert tables.cells <= full.cells
+                banded += 1
+                if tables.distance < (k + 1) * unit:
+                    certified += 1
+                    assert _outputs(tables) == _outputs(full), k
+        assert certified >= 100 and banded - certified >= 100
+
+    def test_zs_distance_takes_the_certified_band(self, rng):
+        m = structural_model(t=0.05)
+        bands = []
+        for _ in range(10):
+            a, b = _similar_pair(rng, rng.randint(40, 80))
+            d, tables = zs_distance(a, b, m)
+            full = edit_distance._fill(tables.a, tables.b, tables.match_table, None)
+            filled = _hexes(tables.treedist)
+            assert _outputs(tables) == _outputs(full)
+            # extraction refills each table it walks at the same band and
+            # writes the same floats
+            assert _hexes(tables.treedist) == filled
+            bands.append(tables.band)
+        assert all(k is not None for k in bands)
+
+    @pytest.mark.parametrize("model", [
+        dataclasses.replace(unit_model(), del_fn=lambda p: 0.1), unit_model(ins_scale=0)],
+        ids=["off_grid", "ins_scale_0"])
+    @pytest.mark.filterwarnings("ignore:cost model 'unit' has not passed validation")
+    def test_unbanded_models(self, rng, model):
+        for (a, b), colors in self.pairs(rng):
+            _, tables = colored_zs(a, b, model, colors)
+            assert tables.band is None
+            ref = edit_distance._fill(tables.a, tables.b, tables.match_table, None)
+            assert _exact_results(tables) == _exact_results(ref)
 
 
 def _zs_results(tables):
@@ -555,13 +715,6 @@ def test_complexity_reflects_min_leaf_height():
     assert t_star < max(0.05, 25 * t_path)
 
 
-def _all_passes_cells(a, b):
-    """Forest cells of one pass per keyroot pair: sum |A_i| * sum |B_j|."""
-    rows = sum(i - a.l[i] + 1 for i in a.keyroots)
-    cols = sum(j - b.l[j] + 1 for j in b.keyroots)
-    return rows * cols
-
-
 def test_complexity_reflects_min_leaf_height_distinct_labels():
     # the same shapes with a different label on every node: no two
     # subtrees are equal, so the star runs one pass per keyroot pair,
@@ -575,8 +728,11 @@ def test_complexity_reflects_min_leaf_height_distinct_labels():
     t0 = time.perf_counter()
     _, star_tables = zs_distance(star, star, m)
     t_star = time.perf_counter() - t0
-    assert path_tables.cells == 200 * 200
-    assert star_tables.cells == (198 + 200) ** 2 == _all_passes_cells(star, star)
+    # identical trees: the band is 1 wide
+    assert path_tables.band == star_tables.band == 1
+    assert path_tables.cells == keyroot_cells(path, path, 1) == 200 + 2 * 199
+    assert keyroot_cells(star, star) == (198 + 200) ** 2
+    assert star_tables.cells == keyroot_cells(star, star, 1) == 198 ** 2 + 2 * 198 * 2 + 598
     assert t_star < 5.0
     assert t_star < max(0.05, 25 * t_path)
 
@@ -593,7 +749,7 @@ class TestSubtreeSharing:
                 trees.append(index(t))
             a, b = trees
             _, tables = zs_distance(a, b, m)
-            assert tables.cells == _all_passes_cells(a, b)
+            assert tables.cells == keyroot_cells(a, b)
 
     def test_repeated_subtrees_fill_fewer_cells(self):
         m = structural_model(t=0.05)
@@ -602,7 +758,7 @@ class TestSubtreeSharing:
             a = index(build(random_structure(rng, 120), "b"))
             b = index(build(random_structure(rng, 120), "b"))
             d, tables = zs_distance(a, b, m)
-            assert 0 < tables.cells < _all_passes_cells(a, b)
+            assert 0 < tables.cells < keyroot_cells(a, b)
             script, _ = extract_script(tables)
             assert script.total_cost == d
             assert trees_equal(replay_script(a, script).root, b.tree.root)
@@ -610,7 +766,9 @@ class TestSubtreeSharing:
     def test_single_label_star_runs_two_passes_per_side(self):
         star = _star_tree(200)
         _, tables = zs_distance(star, star, unit_model())
-        assert tables.cells == (1 + 200) ** 2
+        assert tables.band == 1
+        assert tables.cells == keyroot_cells(tables.a, tables.b, 1, live=True)
+        assert keyroot_cells(tables.a, tables.b, None, live=True) == (1 + 200) ** 2
 
 
 def _comb(teeth):

@@ -3,14 +3,17 @@
 ``fusion_golden.json`` holds the distance ``repr``, the script JSON and the
 mapping of seeded pairs built from ``random_structure``.  The fusion
 records were made with the top-down memoised solver that the dense table
-replaced; the ZS records (``zs-...`` and ``fine-...``, which also hold a
-sha256 of the full subtree-distance table) with the per-cell ZS loop that
-the label-class kernel replaced, except those of ``sharing_cases``, made
-with that kernel before twin subtrees shared their forest passes, and
-those of ``uncolored_fine_cases``, made when the fine pass still packed
-colors into labels and priced a cross-color match at a finite surrogate
-through a wrapped cost model.  Any change to either program must
-reproduce every record exactly.
+replaced; the ZS records (``zs-...`` and ``fine-...``) with the per-cell
+ZS loop that the label-class kernel replaced, except those of
+``sharing_cases``, made with that kernel before twin subtrees shared their
+forest passes, and those of ``uncolored_fine_cases``, made when the fine
+pass still packed colors into labels and priced a cross-color match at a
+finite surrogate through a wrapped cost model.  A ZS record also holds a
+sha256 of the subtree-distance table ZS returns: the full table of an
+unbanded fill, or, for the 23 records whose pairs ZS fills in a certified
+band, the table with inf in every cell outside the band (their distances,
+scripts and mappings are those of the unbanded fill).  Any change to
+either program must reproduce every record exactly.
 
 Regenerate (only when a change of results is intended) with::
 
